@@ -11,16 +11,7 @@ from __future__ import annotations
 
 import pathlib
 
-import pandas as pd
-
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-
-def save(name: str, df: pd.DataFrame, markdown: str) -> None:
-    """Persist one table's raw sweep frame and rendered markdown."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    df.to_json(RESULTS_DIR / f"{name}.json", orient="records", indent=1)
-    (RESULTS_DIR / f"{name}.md").write_text(markdown + "\n")
 
 
 def run_once(benchmark, fn):

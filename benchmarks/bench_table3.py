@@ -5,9 +5,10 @@ from repro.harness.tables import (
     markdown_sweep_table,
     pivot_sweep,
     run_cells,
+    save_table,
 )
 
-from ._common import run_once, save
+from ._common import RESULTS_DIR, run_once
 
 
 def test_table3(benchmark, spark):
@@ -18,5 +19,5 @@ def test_table3(benchmark, spark):
         "table3", piv, "Table 3 — EQUAL vs DYNA vs EN-DYNA running time",
         "seconds",
     )
-    save("table3", df, md)
+    save_table(RESULTS_DIR, "table3", df, md)
     assert (df["wall_time_s"] > 0).all()

@@ -5,9 +5,10 @@ from repro.harness.tables import (
     markdown_sweep_table,
     pivot_sweep,
     run_cells,
+    save_table,
 )
 
-from ._common import run_once, save
+from ._common import RESULTS_DIR, run_once
 
 
 def test_table5(benchmark, spark):
@@ -18,7 +19,7 @@ def test_table5(benchmark, spark):
         "table5", piv,
         "Table 5 — SAP vs minTopK running time, high-speed", "seconds",
     )
-    save("table5", df, md)
+    save_table(RESULTS_DIR, "table5", df, md)
     # headline shape: SAP faster than minTopK in the bulk of cells
     sap = df[df["algo"] == "sap-enhanced"].set_index(
         ["dataset", "axis", "label"]

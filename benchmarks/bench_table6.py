@@ -5,9 +5,10 @@ from repro.harness.tables import (
     markdown_sweep_table,
     pivot_sweep,
     run_cells,
+    save_table,
 )
 
-from ._common import run_once, save
+from ._common import RESULTS_DIR, run_once
 
 
 def test_table6(benchmark, spark):
@@ -17,7 +18,7 @@ def test_table6(benchmark, spark):
     md = markdown_sweep_table(
         "table6", piv, "Table 6 — average candidate count", "candidates"
     )
-    save("table6", df, md)
+    save_table(RESULTS_DIR, "table6", df, md)
     sap = df[df["algo"] == "sap-enhanced"].set_index(
         ["dataset", "axis", "label"]
     )["avg_candidates"]

@@ -5,9 +5,10 @@ from repro.harness.tables import (
     markdown_sweep_table,
     pivot_sweep,
     run_cells,
+    save_table,
 )
 
-from ._common import run_once, save
+from ._common import RESULTS_DIR, run_once
 
 
 def test_table7(benchmark, spark):
@@ -18,7 +19,7 @@ def test_table7(benchmark, spark):
         "table7", piv,
         "Table 7 — average candidate count, high-speed", "candidates",
     )
-    save("table7", df, md)
+    save_table(RESULTS_DIR, "table7", df, md)
     sap = df[df["algo"] == "sap-enhanced"].set_index(
         ["dataset", "axis", "label"]
     )["avg_candidates"]

@@ -5,9 +5,10 @@ from repro.harness.tables import (
     markdown_sweep_table,
     pivot_sweep,
     run_cells,
+    save_table,
 )
 
-from ._common import run_once, save
+from ._common import RESULTS_DIR, run_once
 
 
 def test_table9(benchmark, spark):
@@ -18,7 +19,7 @@ def test_table9(benchmark, spark):
         "table9", piv,
         "Table 9 — candidate-structure memory, high-speed", "KB",
     )
-    save("table9", df, md)
+    save_table(RESULTS_DIR, "table9", df, md)
     sap = df[df["algo"] == "sap-enhanced"].set_index(
         ["dataset", "axis", "label"]
     )["memory_kb"]

@@ -41,11 +41,3 @@ def table_arg_parser(desc: str) -> argparse.ArgumentParser:
         help="run cells serially in-process instead of via Spark",
     )
     return p
-
-
-def emit(name: str, df, markdown: str) -> None:
-    """Write one table's results and print the markdown to stdout."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    df.to_json(RESULTS_DIR / f"{name}.json", orient="records", indent=1)
-    (RESULTS_DIR / f"{name}.md").write_text(markdown + "\n")
-    print(markdown)

@@ -2,42 +2,32 @@
 
 Usage: spark-submit jobs/run_sweep_table.py table5 [--preset bench]
 """
-from common import emit, get_spark, table_arg_parser
+from common import RESULTS_DIR, get_spark, table_arg_parser
 
 from repro.harness.tables import (
     TABLE_DEFS,
+    TABLE_TITLES,
     cells_sweep,
     markdown_sweep_table,
     pivot_sweep,
     run_cells,
+    save_table,
 )
-
-TITLES = {
-    "table3": "Table 3 — EQUAL vs DYNA vs EN-DYNA running time",
-    "table5": "Table 5 — SAP vs minTopK running time, high-speed",
-    "table6": "Table 6 — average candidate count",
-    "table7": "Table 7 — average candidate count, high-speed",
-    "table8": "Table 8 — candidate-structure memory",
-    "table9": "Table 9 — candidate-structure memory, high-speed",
-}
-
-
-def run_one(name: str, spark, preset: str) -> None:
-    """Run one sweep-backed table end to end and emit its artifacts."""
-    regime, algos, metric, unit = TABLE_DEFS[name]
-    df = run_cells(cells_sweep(regime, algos, preset), spark)
-    md = markdown_sweep_table(
-        name, pivot_sweep(df, algos, metric), TITLES[name], unit
-    )
-    emit(name, df, md)
 
 
 def main() -> None:
     p = table_arg_parser(__doc__)
     p.add_argument("table", choices=sorted(TABLE_DEFS))
     args = p.parse_args()
-    spark = None if args.serial else get_spark(args.table)
-    run_one(args.table, spark, args.preset)
+    name = args.table
+    spark = None if args.serial else get_spark(name)
+    regime, algos, metric, unit = TABLE_DEFS[name]
+    df = run_cells(cells_sweep(regime, algos, args.preset), spark)
+    md = markdown_sweep_table(
+        name, pivot_sweep(df, algos, metric), TABLE_TITLES[name], unit
+    )
+    save_table(RESULTS_DIR, name, df, md)
+    print(md)
     if spark is not None:
         spark.stop()
 

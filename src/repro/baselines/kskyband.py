@@ -12,8 +12,8 @@ updates, exactly the weakness the paper demonstrates.
 from __future__ import annotations
 
 from repro.core.base import StreamTopK
+from repro.core.candidates import CandidateSet
 from repro.core.query import TopKQuery
-from repro.core.sorted_store import SortedStore
 
 
 class KSkyband(StreamTopK):
@@ -23,25 +23,23 @@ class KSkyband(StreamTopK):
 
     def __init__(self, q: TopKQuery) -> None:
         super().__init__(q)
-        self.store = SortedStore()
+        self.cands = CandidateSet()
         # k-skyband entries each carry a dominance counter (memory model)
         self.metrics.counter_entries_flag = True
 
     def _ingest(self, t: int, score: float) -> None:
-        below = self.store.count_below(score)
+        below, evicted = self.cands.dominate_below(score, self.q.k)
         self.metrics.examined += below
-        evicted = self.store.dominate_prefix(below, self.q.k)
         self.metrics.deletions += evicted
-        self.store.insert(score, t)
+        self.cands.insert(score, t)
         self.metrics.insertions += 1
 
     def _expire(self, t: int, score: float) -> None:
-        if self.store.contains(score, t):
-            self.store.remove_entry(score, t)
+        if self.cands.remove(score, t):
             self.metrics.deletions += 1
 
     def topk(self) -> list[int]:
-        return self.store.topk(self.q.k)
+        return [t for _, t in self.cands.top_desc(self.q.k)]
 
     def candidate_count(self) -> int:
-        return len(self.store)
+        return len(self.cands)

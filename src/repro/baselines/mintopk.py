@@ -13,15 +13,15 @@ The candidate bound is |C| ≤ nk/max(s,k); the per-object maintenance
 cost is O(n/s + log|C|) via the lbp pointer table in the paper. Here the
 lbp table is represented by its cost/overhead model (n/s pointer slots
 in the memory accounting) while the candidate semantics are maintained
-directly on the sorted store.
+directly on the candidate set.
 """
 from __future__ import annotations
 
 import bisect
 
 from repro.core.base import StreamTopK
+from repro.core.candidates import CandidateSet
 from repro.core.query import TopKQuery
-from repro.core.sorted_store import SortedStore
 
 
 class MinTopK(StreamTopK):
@@ -31,18 +31,14 @@ class MinTopK(StreamTopK):
 
     def __init__(self, q: TopKQuery) -> None:
         super().__init__(q)
-        self.store = SortedStore(with_aux=True)  # aux = slide id
+        self.cands = CandidateSet()
         self._cur_slide = -1
         self._cur_scores: list[float] = []  # all scores seen this slide
         # one lbp pointer per predicted window (memory model)
         self.metrics.overhead_pointers = q.m_slides
 
-    def _slide_of(self, t: int) -> int:
-        return t // self.q.s
-
     def _ingest(self, t: int, score: float) -> None:
-        st = self.store
-        g = self._slide_of(t)
+        g = t // self.q.s  # slide id
         if g != self._cur_slide:
             self._cur_slide = g
             self._cur_scores = []
@@ -59,20 +55,18 @@ class MinTopK(StreamTopK):
         self.metrics.examined += 1
         if dom0 >= self.q.k:
             return  # cannot contribute to any predicted result set
-        below = st.count_below(score)
+        below, evicted = self.cands.dominate_below(score, self.q.k)
         self.metrics.examined += below
-        evicted = st.dominate_prefix(below, self.q.k)
         self.metrics.deletions += evicted
-        st.insert(score, t, dom=dom0, aux=g)
+        self.cands.insert(score, t, dom=dom0)
         self.metrics.insertions += 1
 
     def _expire(self, t: int, score: float) -> None:
-        if self.store.contains(score, t):
-            self.store.remove_entry(score, t)
+        if self.cands.remove(score, t):
             self.metrics.deletions += 1
 
     def topk(self) -> list[int]:
-        return self.store.topk(self.q.k)
+        return [t for _, t in self.cands.top_desc(self.q.k)]
 
     def candidate_count(self) -> int:
-        return len(self.store)
+        return len(self.cands)

@@ -22,8 +22,8 @@ import bisect
 import numpy as np
 
 from repro.core.base import StreamTopK
+from repro.core.candidates import CandidateSet
 from repro.core.query import TopKQuery
-from repro.core.sorted_store import SortedStore
 
 
 class SMA(StreamTopK):
@@ -34,7 +34,7 @@ class SMA(StreamTopK):
     def __init__(self, q: TopKQuery, kmax: int | None = None) -> None:
         super().__init__(q)
         self.kmax = kmax if kmax is not None else 2 * q.k
-        self.store = SortedStore()
+        self.cands = CandidateSet()
         self.theta = float("-inf")
         self.metrics.counter_entries_flag = True
 
@@ -42,17 +42,14 @@ class SMA(StreamTopK):
         self.metrics.examined += 1
         if score < self.theta:
             return  # below threshold: discarded, grid would not index it
-        st = self.store
-        below = st.count_below(score)
+        below, evicted = self.cands.dominate_below(score, self.q.k)
         self.metrics.examined += below
-        evicted = st.dominate_prefix(below, self.q.k)
         self.metrics.deletions += evicted
-        st.insert(score, t)
+        self.cands.insert(score, t)
         self.metrics.insertions += 1
 
     def _expire(self, t: int, score: float) -> None:
-        if score >= self.theta and self.store.contains(score, t):
-            self.store.remove_entry(score, t)
+        if self.cands.remove(score, t):
             self.metrics.deletions += 1
 
     def _after_slide(self) -> None:
@@ -60,7 +57,7 @@ class SMA(StreamTopK):
         # alive object outside C is either below θ (outscored by the ≥ k
         # alive candidates) or dominated — so re-scan only if |C| < k
         # once the slide's arrivals have been absorbed.
-        if len(self.store) < self.q.k:
+        if len(self.cands) < self.q.k:
             self._rescan()
 
     def warmup(self) -> None:  # noqa: D102 — builds initial candidates
@@ -77,7 +74,7 @@ class SMA(StreamTopK):
         kmax = min(self.kmax, len(w))
         # new threshold: k_max-th best score in the window
         self.theta = float(w[order[kmax - 1]])
-        st = SortedStore()
+        c = CandidateSet()
         taken_ts: list[int] = []  # sorted asc, ts of accepted candidates
         examined = 0
         for idx in order:
@@ -89,16 +86,16 @@ class SMA(StreamTopK):
             # those newer than tt
             dom = len(taken_ts) - bisect.bisect_right(taken_ts, tt)
             if dom < self.q.k:
-                st.insert(sc, tt, dom=dom)
+                c.insert(sc, tt, dom=dom)
                 bisect.insort(taken_ts, tt)
-        self.store = st
+        self.cands = c
         self.metrics.rescans += 1
         # grid emulation: cells above θ ≈ kept objects + k cell slop
         self.metrics.rescan_examined += examined + self.q.k
-        self.metrics.insertions += len(st)
+        self.metrics.insertions += len(c)
 
     def topk(self) -> list[int]:
-        return self.store.topk(self.q.k)
+        return [t for _, t in self.cands.top_desc(self.q.k)]
 
     def candidate_count(self) -> int:
-        return len(self.store)
+        return len(self.cands)

@@ -8,6 +8,9 @@ in, every existing entry gains one dominance unit per new entry that
 outscores it (all new entries are newer than all existing ones), and
 entries reaching ``D ≥ k`` are refined away — the integrated
 merge-and-refine single scan of Fig. 4.
+
+The baselines (k-skyband, MinTopK, SMA) keep their candidates in the
+same container; their per-arrival step is :meth:`dominate_below`.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ class CandidateSet:
         return t in self._dom
 
     def insert(self, score: float, t: int, dom: int = 0) -> None:
-        """Insert one candidate (used for promotions from M_0)."""
+        """Insert one candidate with dominance counter ``dom``."""
         bisect.insort(self._entries, (score, t))
         self._dom[t] = dom
 
@@ -43,6 +46,28 @@ class CandidateSet:
         del self._entries[i]
         del self._dom[t]
         return True
+
+    def dominate_below(self, score: float, k: int) -> tuple[int, int]:
+        """An arrival scoring ``score`` dominates every entry strictly below it.
+
+        Each such entry gains one dominance unit; entries reaching k are
+        dropped. This is the per-arrival step of the baselines.
+        Returns ``(below, evicted)``.
+        """
+        below = bisect.bisect_left(self._entries, (score,))
+        dom = self._dom
+        kept: list[tuple[float, int]] = []
+        for e in self._entries[:below]:
+            d = dom[e[1]] + 1
+            if d < k:
+                dom[e[1]] = d
+                kept.append(e)
+            else:
+                del dom[e[1]]
+        evicted = below - len(kept)
+        if evicted:
+            self._entries[:below] = kept
+        return (below, evicted)
 
     def merge_topk(self, new_desc: list[tuple[float, int]], k: int) -> tuple[int, int]:
         """Merge a sealed partition's top-k (descending) into C (Fig. 4).

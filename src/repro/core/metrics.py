@@ -2,10 +2,11 @@
 
 The paper evaluates (a) running time, (b) average candidate-set size,
 and (c) memory consumption. Our Python wall-times carry different
-constant factors than the paper's C++ (numpy vectorisation helps the
-baselines' O(|C|) scans disproportionately), so every run also records
-abstract operation counts — the quantities the paper's cost model
-(§2.1, §4.1) actually reasons about.
+constant factors than the paper's C++: every algorithm runs in the
+interpreter on the same ``CandidateSet``, so per-operation overhead sets
+the time ratios. Every run therefore also records abstract operation
+counts — the quantities the paper's cost model (§2.1, §4.1) actually
+reasons about.
 
 Memory model (Appendix F of the paper): memory is dominated by the
 candidate structures. We charge 32 bytes per candidate entry

@@ -58,11 +58,3 @@ class TopKQuery:
             return 0
         return (length - self.n) // self.s + 1
 
-
-def sort_key(score: float, t: int) -> tuple[float, int]:
-    """Ascending sort key under the shared tie-break (see module doc).
-
-    Sorting a list of ``sort_key(score, t)`` ascending puts the *worst*
-    object first; the top-k are the last k entries.
-    """
-    return (score, t)

@@ -371,9 +371,10 @@ class SAP(StreamTopK):
                 ]
                 lab.deep_scanned = False
                 ms.add(SortedMeaningful(entries))
-        # Defensive: TBUI unit labels normally tile the partition exactly
-        # (seals happen at unit boundaries); any uncovered range gets a
-        # plain scan into its own structure to keep stack invariants.
+        # TBUI labels cover whole units only. The hard-cap seal
+        # (size == n) ends a partition mid-unit whenever n is not a
+        # multiple of u_len (e.g. n=90, k=45, s=3: u_len=63), leaving a
+        # tail no label covers; scan it plainly into its own structure.
         uncovered: list[tuple[int, int]] = []
         pos = part.start
         for a, b in spans:

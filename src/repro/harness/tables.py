@@ -15,6 +15,7 @@ plus shape-check summaries for EXPERIMENTS.md.
 """
 from __future__ import annotations
 
+import pathlib
 from collections.abc import Iterable
 
 import pandas as pd
@@ -42,6 +43,14 @@ TABLE_DEFS = {
     "table7": ("high", HS_ALGOS, "avg_candidates", "candidates"),
     "table8": ("regular", CAND_ALGOS, "memory_kb", "KB"),
     "table9": ("high", HS_ALGOS, "memory_kb", "KB"),
+}
+TABLE_TITLES = {
+    "table3": "Table 3 — EQUAL vs DYNA vs EN-DYNA running time",
+    "table5": "Table 5 — SAP vs minTopK running time, high-speed",
+    "table6": "Table 6 — average candidate count",
+    "table7": "Table 7 — average candidate count, high-speed",
+    "table8": "Table 8 — candidate-structure memory",
+    "table9": "Table 9 — candidate-structure memory, high-speed",
 }
 
 
@@ -134,6 +143,15 @@ def run_all_tables(
         ),
         "high": run_cells(cells_sweep("high", HS_ALGOS, preset), spark),
     }
+
+
+def save_table(
+    results_dir: pathlib.Path, name: str, df: pd.DataFrame, markdown: str
+) -> None:
+    """Write one table's raw sweep frame and rendered markdown."""
+    results_dir.mkdir(exist_ok=True)
+    df.to_json(results_dir / f"{name}.json", orient="records", indent=1)
+    (results_dir / f"{name}.md").write_text(markdown + "\n")
 
 
 # ------------------------------------------------------------------ pivots
@@ -330,17 +348,11 @@ def shape_checks(results: dict[str, pd.DataFrame]) -> list[str]:
 def build_markdown(results: dict[str, pd.DataFrame]) -> str:
     """Full EXPERIMENTS table section from the three sweep frames."""
     parts = [markdown_table2(pivot_table2(results["table2"]))]
-    titles = {
-        "table3": "Table 3 — EQUAL vs DYNA vs EN-DYNA running time",
-        "table5": "Table 5 — SAP vs minTopK running time, high-speed",
-        "table6": "Table 6 — average candidate count",
-        "table7": "Table 7 — average candidate count, high-speed",
-        "table8": "Table 8 — candidate-structure memory",
-        "table9": "Table 9 — candidate-structure memory, high-speed",
-    }
     for name, (regime, algos, metric, unit) in TABLE_DEFS.items():
         ours = pivot_sweep(results[regime], algos, metric)
-        parts.append(markdown_sweep_table(name, ours, titles[name], unit))
+        parts.append(
+            markdown_sweep_table(name, ours, TABLE_TITLES[name], unit)
+        )
     parts.append("#### Shape checks\n")
     parts.extend(f"* {c}" for c in shape_checks(results))
     return "\n\n".join(parts)

@@ -83,3 +83,81 @@ def test_merge_empty_list():
     c.insert(1.0, 1)
     assert c.merge_topk([], k=2) == (0, 0)
     assert len(c) == 1
+
+
+def test_equal_scores_ordered_by_t():
+    c = CandidateSet()
+    for t in (5, 2, 9):
+        c.insert(1.0, t)
+    assert [t for _, t in c.iter_desc()] == [9, 5, 2]
+
+
+def test_top_desc_tiebreak_newer_first():
+    c = CandidateSet()
+    for sc, t in [(1.0, 1), (2.0, 2), (2.0, 3), (3.0, 4)]:
+        c.insert(sc, t)
+    assert c.top_desc(3) == [(3.0, 4), (2.0, 3), (2.0, 2)]
+
+
+def test_remove_absent_keeps_set():
+    c = CandidateSet()
+    c.insert(1.5, 7)
+    assert not c.remove(1.5, 8)
+    assert len(c) == 1 and 7 in c
+
+
+def test_dominate_below_is_strict():
+    c = CandidateSet()
+    for sc, t in [(1.0, 1), (2.0, 2), (2.0, 3), (3.0, 4)]:
+        c.insert(sc, t)
+    # equal-scored entries are not dominated (paper's dominance is strict)
+    assert c.dominate_below(2.0, k=5) == (1, 0)
+    assert c.dominate_below(3.5, k=5) == (4, 0)
+    assert c.dominate_below(0.5, k=5) == (0, 0)
+
+
+def test_dominate_below_counts_strictly_lower():
+    c = CandidateSet()
+    for sc, t in [(1.0, 1), (2.0, 2), (2.0, 3), (3.0, 4)]:
+        c.insert(sc, t)
+    # the counts match how many stored scores lie strictly below the bound
+    assert c.dominate_below(2.0, k=10)[0] == 1
+    assert c.dominate_below(3.0, k=10)[0] == 3
+    assert c.dominate_below(3.5, k=10)[0] == 4
+    assert len(c) == 4
+
+
+def test_dominate_below_noop():
+    c = CandidateSet()
+    c.insert(1.0, 1)
+    assert c.dominate_below(1.0, k=2) == (0, 0)
+    assert c.dominate_below(0.0, k=1) == (0, 0)
+    assert len(c) == 1 and 1 in c
+
+
+def test_insert_keeps_sorted():
+    c = CandidateSet()
+    for sc, t in [(3.0, 1), (1.0, 2), (2.0, 3)]:
+        c.insert(sc, t)
+    assert list(c.iter_desc()) == [(3.0, 1), (2.0, 3), (1.0, 2)]
+    c.insert(1.5, 4)
+    assert list(c.iter_desc()) == [(3.0, 1), (2.0, 3), (1.5, 4), (1.0, 2)]
+
+
+def test_dominate_below_evicts_at_k():
+    c = CandidateSet()
+    for i in range(5):
+        c.insert(float(i), i)
+    # two dominations of the lowest 3 entries with k=2 evicts them
+    assert c.dominate_below(2.5, k=2) == (3, 0)
+    assert c.dominate_below(2.5, k=2) == (3, 3)
+    assert list(c.iter_desc()) == [(4.0, 4), (3.0, 3)]
+    assert 0 not in c and not c.remove(0.0, 0)
+
+
+def test_dominate_below_counts_initial_dom():
+    c = CandidateSet()
+    c.insert(1.0, 1, dom=1)
+    c.insert(1.5, 2)
+    assert c.dominate_below(2.0, k=2) == (2, 1)
+    assert list(c.iter_desc()) == [(1.5, 2)]

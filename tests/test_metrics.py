@@ -77,3 +77,24 @@ def test_delay_policy_reduces_m_formations():
     )
     lazy = run_stream("sap-equal", scores, q, collect_results=False)
     assert lazy.metrics.m_formations <= eager.metrics.m_formations
+
+
+# Parent-commit counts on one fixed TIMER stream: they feed Tables 6–9,
+# so a container change must reproduce them exactly.
+_PINNED_BASELINE_ROWS = {
+    "kskyband": (1200, 1076, 8251, 0, 0, 99.97510373443983, 3.9052774896265556),
+    "mintopk": (1200, 1076, 9106, 0, 0, 99.58921161825727, 3.5809128630705396),
+    "sma": (962, 635, 5040, 11, 330, 48.29875518672199, 1.8866701244813278),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(_PINNED_BASELINE_ROWS))
+def test_baseline_metrics_pinned(algo):
+    q = TopKQuery(n=240, k=10, s=4)
+    scores = gen_stream("TIMER", 1200, seed=7)
+    row = run_stream(algo, scores, q, collect_results=False).metrics.as_row()
+    cols = ("insertions", "deletions", "examined", "rescans",
+            "rescan_examined", "avg_candidates", "memory_kb")
+    assert tuple(row[c] for c in cols) == pytest.approx(
+        _PINNED_BASELINE_ROWS[algo], rel=1e-12
+    )

@@ -1,7 +1,7 @@
 """Unit tests for the query model (core/query.py)."""
 import pytest
 
-from repro.core.query import TopKQuery, sort_key
+from repro.core.query import TopKQuery
 
 
 @pytest.mark.parametrize("n,k,s", [(10, 1, 1), (10, 10, 5), (100, 7, 25)])
@@ -38,13 +38,6 @@ def test_num_windows_s1():
     q = TopKQuery(n=5, k=1, s=1)
     assert q.num_windows(5) == 1
     assert q.num_windows(9) == 5
-
-
-def test_sort_key_orders_by_score_then_recency():
-    # ascending sort puts worse first; newer wins ties
-    entries = [sort_key(1.0, 5), sort_key(2.0, 1), sort_key(1.0, 9)]
-    ordered = sorted(entries)
-    assert ordered == [(1.0, 5), (1.0, 9), (2.0, 1)]
 
 
 def test_query_frozen():
