@@ -5,17 +5,24 @@ stream through the same protocol so the runner, the Spark operator and
 the sweep harness can drive any of them interchangeably:
 
 * ``attach(scores)`` — give the algorithm a read-only view of the full
-  score array. Semantically this is "the window buffer": one-pass
-  algorithms may only look at arrivals, but multi-pass SMA re-scans the
-  live window, and SAP scans the front partition when forming ``M_0``;
-  both only ever read indices inside the current window.
+  score array; NaN or ±inf scores raise ``ValueError``. Semantically
+  this is "the window buffer": one-pass algorithms may only look at
+  arrivals, but multi-pass SMA re-scans the live window, and SAP scans
+  the front partition when forming ``M_0``; both only ever read indices
+  inside the current window.
 * ``warmup()`` — ingest the first ``n`` objects (t = 0..n-1).
 * ``slide(j)`` — advance to window ``j`` (j ≥ 1): expire the objects
-  ``t ∈ [(j-1)s, js)`` and ingest ``t ∈ [n+(j-1)s, n+js)``.
+  ``t ∈ [(j-1)s, js)`` one by one, then ingest ``t ∈ [n+(j-1)s, n+js)``.
 * ``topk()`` — the current window's top-k arrival indices, best-first
   under the shared tie-break (score desc, t desc).
 * ``candidate_count()`` — current size of the candidate structures
   (``|C ∪ M_0|`` for SAP), sampled once per emitted window.
+
+Subclasses implement ``_expire`` and one of two arrival hooks. Both
+``warmup`` and ``slide`` hand their arrivals over as one range,
+``_ingest_range(lo, hi)``; its default feeds ``_ingest(t, score)`` one
+object at a time, which is what the baselines use. SAP overrides
+``_ingest_range`` instead and works on whole runs of arrivals.
 """
 from __future__ import annotations
 
@@ -43,13 +50,15 @@ class StreamTopK(ABC):
         """Attach the stream's score array (read-only window buffer)."""
         if len(scores) < self.q.n:
             raise ValueError("stream shorter than one window")
-        self.scores = np.asarray(scores, dtype=np.float64)
+        scores = np.asarray(scores, dtype=np.float64)
+        if not np.isfinite(scores).all():
+            raise ValueError("scores must be finite (no NaN or ±inf)")
+        self.scores = scores
 
     def warmup(self) -> None:
         """Ingest objects t = 0..n-1 (window 0 becomes available)."""
         assert self.scores is not None, "call attach() first"
-        for t in range(self.q.n):
-            self._ingest(t, float(self.scores[t]))
+        self._ingest_range(0, self.q.n)
         self.window_end = self.q.n
 
     def slide(self, j: int) -> None:
@@ -59,15 +68,21 @@ class StreamTopK(ABC):
         for t in range((j - 1) * q.s, j * q.s):
             self._expire(t, float(self.scores[t]))
         self.window_start = j * q.s
-        for t in range(q.n + (j - 1) * q.s, q.n + j * q.s):
-            self._ingest(t, float(self.scores[t]))
+        self._ingest_range(q.n + (j - 1) * q.s, q.n + j * q.s)
         self.window_end = q.n + j * q.s
         self._after_slide()
 
     # -- hooks -----------------------------------------------------------
-    @abstractmethod
+    def _ingest_range(self, lo: int, hi: int) -> None:
+        """Process the arrivals ``t ∈ [lo, hi)`` in arrival order."""
+        scores = self.scores
+        assert scores is not None
+        for t in range(lo, hi):
+            self._ingest(t, float(scores[t]))
+
     def _ingest(self, t: int, score: float) -> None:
-        """Process one arriving object."""
+        """Process one arriving object (the default ``_ingest_range``'s step)."""
+        raise NotImplementedError
 
     @abstractmethod
     def _expire(self, t: int, score: float) -> None:

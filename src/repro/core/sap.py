@@ -36,8 +36,9 @@ S-AVL are an optimisation, never a correctness dependency.
 from __future__ import annotations
 
 import bisect
-import heapq
+import math
 from collections import deque
+from itertools import islice
 
 import numpy as np
 
@@ -60,20 +61,12 @@ class SAPPartition:
     def __init__(self, start: int) -> None:
         self.start = start
         self.end: int | None = None  # exclusive; set at seal
-        self.topk: list[tuple[float, int]] = []  # ascending (score, t)
+        self.topk: list[tuple[float, int]] = []  # ascending (score, t), ≤ k
         self.labels: list[UnitLabel] | None = None  # enhanced mode
         self.m: MeaningfulSet | None = None
         self.rho: int | None = None
         self.prepared = False  # front-readiness (ρ computed, M formed)
         self.deep_idx = 0  # next label to consider for UBSA deep scan
-
-    def add(self, score: float, t: int, k: int) -> None:
-        """Maintain the partition's top-k as objects arrive."""
-        if len(self.topk) < k:
-            bisect.insort(self.topk, (score, t))
-        elif (score, t) > self.topk[0]:
-            bisect.insort(self.topk, (score, t))
-            del self.topk[0]
 
     def topk_desc(self) -> list[tuple[float, int]]:
         """Top-k entries, best first."""
@@ -110,12 +103,15 @@ class SAP(StreamTopK):
         self.C = CandidateSet()
         self.sealed: deque[SAPPartition] = deque()
         self.rear = SAPPartition(0)
-        self._cursor = -1  # last ingested t
         # per-unit top-k lists of the rear (dynamic modes): lets a split
         # derive both halves' top-k by merging k-lists instead of
         # re-scanning raw scores
         self._unit_topks: list[list[tuple[float, int]]] = []
         self._cur_unit_topk: list[tuple[float, int]] = []
+        # the last reported top-k ids (None once it may be stale) and
+        # their oldest t; see topk()
+        self._report: list[int] | None = None
+        self._report_min_t = -1
         if mode == "equal":
             self.part_size = equal_partition_size(q, m)
             self.u_len = self.part_size
@@ -131,45 +127,84 @@ class SAP(StreamTopK):
         )
 
     # ----------------------------------------------------------- arrivals
-    def _ingest(self, t: int, score: float) -> None:
-        self._cursor = t
-        self.rear.add(score, t, self.q.k)
-        if self.tbui is not None:
-            self.tbui.ingest(t, score)
-        size = t - self.rear.start + 1
-        if self.mode == "equal":
-            if size == self.part_size:
-                self._seal(t + 1)
-            return
-        # dynamic modes: maintain the current unit's top-k
-        if len(self._cur_unit_topk) < self.q.k:
-            bisect.insort(self._cur_unit_topk, (score, t))
-        elif (score, t) > self._cur_unit_topk[0]:
-            bisect.insort(self._cur_unit_topk, (score, t))
-            del self._cur_unit_topk[0]
-        if size == self.q.n:
-            # hard cap: a partition can never outgrow the window — its
-            # oldest object is about to expire, so it must be sealed now
-            self._seal(t + 1)
-        elif size % self.u_len == 0:
-            self._unit_topks.append(self._cur_unit_topk)
-            self._cur_unit_topk = []
-            units = size // self.u_len
-            if units >= 2:
-                if units > self.max_units or self._wrt_improper():
-                    self._split_seal(t + 1)
+    def _ingest_range(self, lo: int, hi: int) -> None:
+        """Ingest arrivals ``[lo, hi)``, one run between boundaries at a time.
 
-    def _wrt_improper(self) -> bool:
+        Per-object work only acts at a unit boundary, at the hard cap
+        ``n`` and (equal mode) at the partition size. Every stretch in
+        between is one run: TBUI takes it whole, and its entries at or
+        above the current k-th floor are merged into the unit's and the
+        rear's top-k with one sort each. All of these points are
+        multiples of ``s`` past a partition start, so a slide is always
+        a single run.
+        """
+        assert self.scores is not None
+        k = self.q.k
+        equal = self.mode == "equal"
+        while lo < hi:
+            rear = self.rear
+            if equal:
+                stop = rear.start + self.part_size
+            else:
+                stop = min(
+                    rear.start + self.q.n,
+                    lo + self.u_len - (lo - rear.start) % self.u_len,
+                )
+            end = min(hi, stop)
+            run = self.scores[lo:end].tolist()
+            if self.tbui is not None:
+                self.tbui.ingest_run(lo, run)
+            top = rear.topk
+            floor = top[0][0] if len(top) == k else -math.inf
+            if equal:
+                unit, low = None, floor
+            else:
+                # the unit's k-th never beats the rear's: sieve by it
+                unit = self._cur_unit_topk
+                low = unit[0][0] if len(unit) == k else -math.inf
+            if max(run) >= low:
+                new = [(sc, t) for t, sc in enumerate(run, lo) if sc >= low]
+                if unit is not None:
+                    unit += new
+                    unit.sort()
+                    del unit[:-k]
+                    new = [e for e in new if e[0] >= floor]
+                if new:
+                    top += new
+                    top.sort()
+                    del top[:-k]
+                    self._report = None
+            lo = end
+            if end == stop:
+                self._at_boundary(end)
+
+    def _at_boundary(self, end: int) -> None:
+        """Seal, split or grow the rear once it holds ``[start, end)``."""
+        size = end - self.rear.start
+        if self.mode == "equal" or size == self.q.n:
+            # equal mode: the partition is full. Hard cap: a partition
+            # can never outgrow the window — its oldest object is about
+            # to expire, so it must be sealed now.
+            self._seal(end)
+            return
+        self._unit_topks.append(self._cur_unit_topk)
+        self._cur_unit_topk = []
+        units = size // self.u_len
+        if units >= 2 and (units > self.max_units or self._wrt_improper(end)):
+            self._split_seal(end)
+
+    def _wrt_improper(self, end: int) -> bool:
         """WRT evaluation F(P'_m^k, I_ηk) at a unit boundary (§4.2).
 
         The interval's top-ηk is read off the *candidate set* (the paper
         "visits the top-ηk candidates whose arrival times are within
-        [t0−n+|Pm|, t0)") rather than re-scanning raw scores.
+        [t0−n+|Pm|, t0)") rather than re-scanning raw scores. ``end`` is
+        one past the rear's newest arrival.
         """
         rear_topk = np.array([sc for sc, _ in self.rear.topk])
         if len(rear_topk) < self.q.k:
             return False  # not enough evidence: keep growing
-        lookback = self.q.n - (self._cursor + 1 - self.rear.start)
+        lookback = self.q.n - (end - self.rear.start)
         lo = max(0, self.rear.start - max(lookback, 0))
         top_eta: list[float] = []
         visited = 0
@@ -218,6 +253,7 @@ class SAP(StreamTopK):
             assert part.end is not None
             part.labels = self.tbui.labels_for(part.start, part.end)
         inserted, refined = self.C.merge_topk(part.topk_desc(), self.q.k)
+        self._report = None
         self.metrics.insertions += inserted
         self.metrics.deletions += refined
         self.metrics.examined += len(self.C)
@@ -233,19 +269,29 @@ class SAP(StreamTopK):
     def _expire(self, t: int, score: float) -> None:
         self._ensure_front_ready()
         front = self.sealed[0] if self.sealed else None
+        if t == self._report_min_t:
+            # t is the window's oldest: it was reported iff it is the
+            # report's oldest. A reported object usually leaves from C,
+            # which drops the report below anyway; this also covers one
+            # still held in M_0.
+            self._report = None
         if t in self.C:
             self.C.remove(score, t)
             self.metrics.deletions += 1
+            self._report = None
             if front is not None and front.m is not None:
                 promoted = front.m.pop_max(t + 1)
                 if promoted is not None:
                     self.C.insert(promoted[0], promoted[1])
                     self.metrics.insertions += 1
         if front is not None:
-            if self.mode == "enhanced":
+            if self.mode == "enhanced" and self.use_savl:
+                # only a UBSA-built M holds k-unit summaries; the exact
+                # skyband of use_savl=False already covers every unit
                 self._maybe_deep_scan(front, t)
             if front.end is not None and t == front.end - 1:
                 self.sealed.popleft()
+                self._report = None
                 if self.tbui is not None:
                     self.tbui.drop_before(front.end)
 
@@ -273,6 +319,7 @@ class SAP(StreamTopK):
         if self.delay and rho < self.q.k:
             f_theta = self._f_theta(front)
             front.m = self._form_meaningful(front, rho, f_theta)
+            self._report = None
 
     def _f_theta(self, part: SAPPartition) -> float:
         """Global pruning bound Fθ (Lemma 2): k-th best of W − P."""
@@ -432,38 +479,32 @@ class SAP(StreamTopK):
                     continue
                 deep.offer(sc, t)
             front.m.add(deep)
+            self._report = None
 
     # ------------------------------------------------------------ results
     def topk(self) -> list[int]:
-        k = self.q.k
-        # fast path: two-pointer merge of C's tail and the rear's top-k
-        a = self.C.top_desc(k)
-        b = self.rear.topk_desc()
-        merged: list[tuple[float, int]] = []
-        ia = ib = 0
-        while len(merged) < k and (ia < len(a) or ib < len(b)):
-            if ib >= len(b) or (ia < len(a) and a[ia] >= b[ib]):
-                merged.append(a[ia])
-                ia += 1
-            else:
-                merged.append(b[ib])
-                ib += 1
+        """The window's top-k: a copy of the cached report when still valid.
+
+        The report is the top-k of ``C ∪ P_rear^k ∪ M_0``. It is dropped
+        whenever one of these may change it: ``C`` changes, an arrival
+        enters the rear's top-k, the front's M set is formed, grows or
+        leaves with the front, or a reported object expires.
+        """
         front = self.sealed[0] if self.sealed else None
-        if front is not None and front.m is not None:
-            head = front.m.peek_max(self.window_start)
+        m = front.m if front is not None else None
+        # peek_max also drops expired S-AVL tops, which candidate_count()
+        # would otherwise still count
+        head = m.peek_max(self.window_start) if m is not None else None
+        if self._report is None:
+            k = self.q.k
+            merged = sorted(self.C.top_desc(k) + self.rear.topk, reverse=True)[:k]
             if head is not None and (len(merged) < k or head > merged[-1]):
-                # rare: a meaningful object enters the top-k — full merge
-                srcs = [
-                    iter(a),
-                    iter(b),
-                    front.m.iter_desc(self.window_start),
-                ]
-                merged = []
-                for e in heapq.merge(*srcs, reverse=True):
-                    merged.append(e)
-                    if len(merged) == k:
-                        break
-        return [int(t) for _, t in merged]
+                # rare: a meaningful object enters the top-k
+                merged += islice(m.iter_desc(self.window_start), k)
+                merged = sorted(merged, reverse=True)[:k]
+            self._report = [t for _, t in merged]
+            self._report_min_t = min(self._report)
+        return list(self._report)
 
     def candidate_count(self) -> int:
         front = self.sealed[0] if self.sealed else None

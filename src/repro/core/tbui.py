@@ -23,7 +23,7 @@ non-demotable so the fresh near-zero τ of the restart cannot spuriously
 demote it (Algorithm 2 leaves this implicit); (b) the unit that *ends*
 a downtrend is labelled non-k (so UBSA scans it in phase 1 under the Fθ
 guard) instead of carrying Algorithm 2's ambiguous ``U^τ_v`` summary —
-labels only steer cost, and this keeps the per-object tracker O(1).
+labels only steer cost, and this keeps the tracker O(1) per object.
 """
 from __future__ import annotations
 
@@ -72,27 +72,45 @@ class TBUITracker:
 
     def _raise_tau(self) -> None:
         """Median-search: τ ← ζ*-th highest of U^τ, keep entries above."""
-        self.u_tau.sort(key=lambda e: (-e[0], -e[1]))
+        self.u_tau.sort(reverse=True)
         self.metrics.examined += len(self.u_tau)
         self.tau = self.u_tau[self.zs - 1][0]
         del self.u_tau[self.zs :]
 
-    def ingest(self, t: int, score: float) -> None:
-        """Process one arrival (Algorithm 2 lines 3–9)."""
-        if self.unit_count == 0:
-            self.unit_start = t
-        self.unit_count += 1
-        if (score, t) > self.unit_max:
-            self.unit_max = (score, t)
-        if score >= self.tau:
-            self.u_tau.append((score, t))
-            if self.flag and len(self.u_tau) == 2 * self.zs:
-                self._raise_tau()
-            elif not self.flag and len(self.u_tau) > max(2 * self.zs, self.zmax):
-                self._raise_tau()
-                self.flag = True
-        if self.unit_count == self.lmin:
-            self._complete_unit(t + 1)
+    def ingest_run(self, lo: int, run: list[float]) -> None:
+        """Process arrivals ``t = lo, lo+1, …`` scoring ``run``.
+
+        Algorithm 2 lines 3–9, one piece at a time: the run is cut at unit
+        ends. Per piece, the unit maximum is taken once, and objects below
+        τ at the piece's start are skipped: τ only rises within a unit, so
+        they would stay below it.
+        """
+        i, n = 0, len(run)
+        while i < n:
+            if self.unit_count == 0:
+                self.unit_start = lo + i
+            j = min(n, i + self.lmin - self.unit_count)
+            piece = run[i:j] if i or j < n else run
+            best = max(piece)
+            if best >= self.unit_max[0]:
+                # the piece is newer, and the newest of equal maxima wins
+                self.unit_max = (best, lo + j - 1 - piece[::-1].index(best))
+            tau = self.tau
+            if best >= tau:
+                u_tau = self.u_tau  # _raise_tau trims it in place
+                above = [(sc, t) for t, sc in enumerate(piece, lo + i) if sc >= tau]
+                for e in above:
+                    if e[0] >= self.tau:
+                        u_tau.append(e)
+                        if self.flag and len(u_tau) == 2 * self.zs:
+                            self._raise_tau()
+                        elif not self.flag and len(u_tau) > max(2 * self.zs, self.zmax):
+                            self._raise_tau()
+                            self.flag = True
+            self.unit_count += j - i
+            i = j
+            if self.unit_count == self.lmin:
+                self._complete_unit(lo + j)
 
     def _complete_unit(self, end: int) -> None:
         """Label the finished unit (Algorithm 2 lines 10–16)."""
@@ -103,7 +121,7 @@ class TBUITracker:
                 prev = self.labels[-1]
                 prev.kind = "non"
                 prev.summary = [max(prev.summary)]
-            summary = sorted(self.u_tau, key=lambda e: (-e[0], -e[1]))[:k]
+            summary = sorted(self.u_tau, reverse=True)[:k]
             self.labels.append(
                 UnitLabel(self.unit_start, end, "k", summary, demotable=True)
             )

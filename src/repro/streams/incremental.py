@@ -33,11 +33,16 @@ class IncrementalDriver:
         self.warmed = False
 
     def feed(self, scores: np.ndarray) -> list[tuple[int, int, int, float]]:
-        """Append arrivals (in order); return (window, rank, t, score) rows."""
+        """Append arrivals (in order); return (window, rank, t, score) rows.
+
+        Raises ``ValueError`` when the chunk holds a NaN or ±inf score;
+        nothing of it is buffered, so feeding can go on with clean data.
+        """
         if len(scores):
-            self.buffer = np.concatenate(
-                [self.buffer, np.asarray(scores, dtype=np.float64)]
-            )
+            chunk = np.asarray(scores, dtype=np.float64)
+            if not np.isfinite(chunk).all():
+                raise ValueError("scores must be finite (no NaN or ±inf)")
+            self.buffer = np.concatenate([self.buffer, chunk])
         out: list[tuple[int, int, int, float]] = []
         q = self.q
         if not self.warmed:

@@ -67,9 +67,11 @@ def run_stream(
 ) -> RunResult:
     """Run algorithm ``name`` over the full stream.
 
-    Emits one top-k per window position; samples the candidate count at
-    every emission; measures wall time around the whole ingest/expire/
-    report loop (data generation excluded).
+    Emits one top-k per window position and samples the candidate count
+    at every emission. ``wall_time_s`` covers only the algorithm's own
+    calls (``attach``, ``warmup``, ``slide``, ``topk``): data generation,
+    the candidate-count samples and result collection are observation
+    and stay outside the clock.
     """
     if name == "naive":
         t0 = time.perf_counter()
@@ -81,15 +83,19 @@ def run_stream(
     algo = make_algorithm(name, q, **opts)
     n_windows = q.num_windows(len(scores))
     results: list[np.ndarray] = []
-    t0 = time.perf_counter()
+    clock = time.perf_counter
+    elapsed = 0.0
+    t0 = clock()
     algo.attach(scores)
     algo.warmup()
     for j in range(n_windows):
         if j > 0:
+            t0 = clock()
             algo.slide(j)
         ids = algo.topk()
+        elapsed += clock() - t0
         algo.metrics.candidate_samples.append(algo.candidate_count())
         if collect_results:
             results.append(np.asarray(ids, dtype=np.int64))
-    algo.metrics.wall_time_s = time.perf_counter() - t0
+    algo.metrics.wall_time_s = elapsed
     return RunResult(algo.name, q, algo.metrics, results)

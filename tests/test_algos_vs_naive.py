@@ -71,6 +71,18 @@ def test_sap_dynamic_ablations(ds, algo, opts):
     _check(ds, 120, 10, 4, algo, opts)
 
 
+@pytest.mark.parametrize(
+    "ds,n,k,s",
+    [(ds, 90, 45, 3) for ds in DATASETS]
+    + [("TIMER", 600, 20, 1), ("TIMER", 1200, 50, 30)],
+)
+@pytest.mark.parametrize("delay", [True, False], ids=["delay", "nodelay"])
+def test_enhanced_exact_skyband(ds, n, k, s, delay):
+    # use_savl=False builds M as the exact skyband of the whole front; a
+    # UBSA deep scan on top of it once promoted the same t into C twice
+    _check(ds, n, k, s, "sap-enhanced", {"use_savl": False, "delay": delay})
+
+
 @pytest.mark.parametrize("algo,opts", ALGOS, ids=[a for a, _ in ALGOS])
 def test_long_horizon_many_slides(algo, opts):
     # many front-partition turnovers on the adversarial TIMER stream

@@ -65,3 +65,34 @@ def test_pickle_before_warmup():
     drv2 = IncrementalDriver.loads(drv.dumps())
     rows = drv2.feed(scores[10:])
     assert rows == reference_rows(q, scores)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_non_finite_chunk_rejected(bad, warm):
+    q = TopKQuery(n=40, k=4, s=4)
+    scores = gen_stream("STOCK", 160, seed=3)
+    drv = IncrementalDriver("sap-enhanced", q)
+    split = 80 if warm else 20
+    rows = drv.feed(scores[:split])
+    chunk = scores[split : split + 8].copy()
+    chunk[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        drv.feed(chunk)
+    # the rejected chunk left no trace: the clean stream still matches
+    rows += drv.feed(scores[split:])
+    assert rows == reference_rows(q, scores)
+
+
+@pytest.mark.parametrize("algo", ["sap-equal", "sap-dynamic", "sap-enhanced"])
+def test_pickle_roundtrip_with_warm_report_cache(algo):
+    q = TopKQuery(n=60, k=6, s=3)
+    scores = gen_stream("TIMER", 600, seed=4)
+    drv = IncrementalDriver(algo, q)
+    rows = []
+    for off in range(0, len(scores), 30):
+        rows += drv.feed(scores[off : off + 30])
+        if off == 270:
+            assert drv.algo._report is not None  # the cache is warm
+            drv = IncrementalDriver.loads(drv.dumps())
+    assert rows == reference_rows(q, scores)

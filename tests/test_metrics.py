@@ -98,3 +98,33 @@ def test_baseline_metrics_pinned(algo):
     assert tuple(row[c] for c in cols) == pytest.approx(
         _PINNED_BASELINE_ROWS[algo], rel=1e-12
     )
+
+
+# The same stream for SAP: slide-batched ingest and the report cache must
+# not move an op count (they feed Tables 2/3/6/8). Values from the
+# per-object implementation; the enhanced use_savl=False row was re-taken
+# after that variant stopped deep-scanning its exact skyband, and reads
+# the same on this stream.
+_PINNED_SAP_ROWS = {
+    "equal": ("sap-equal", {}, (
+        442, 412, 944, 8, 0, 25, 39.41078838174274, 1.2315871369294606)),
+    "dynamic": ("sap-dynamic", {}, (
+        432, 412, 1074, 8, 0, 24, 36.92116182572614, 1.1537863070539418)),
+    "enhanced": ("sap-enhanced", {}, (
+        432, 412, 1074, 8, 0, 24, 36.92116182572614, 1.1537863070539418)),
+    "enhanced-nodelay": ("sap-enhanced", {"delay": False}, (
+        506, 486, 1682, 24, 0, 24, 46.70539419087137, 1.4595435684647302)),
+    "enhanced-nosavl": ("sap-enhanced", {"use_savl": False}, (
+        432, 412, 1458, 8, 0, 24, 36.68879668049792, 1.14652489626556)),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_PINNED_SAP_ROWS))
+def test_sap_metrics_pinned(variant):
+    algo, opts, expected = _PINNED_SAP_ROWS[variant]
+    q = TopKQuery(n=240, k=10, s=4)
+    scores = gen_stream("TIMER", 1200, seed=7)
+    row = run_stream(algo, scores, q, collect_results=False, **opts).metrics.as_row()
+    cols = ("insertions", "deletions", "examined", "m_formations",
+            "units_skipped", "partitions_sealed", "avg_candidates", "memory_kb")
+    assert tuple(row[c] for c in cols) == pytest.approx(expected, rel=1e-12)

@@ -62,3 +62,15 @@ def test_opts_forwarded():
     r = run_stream("sap-equal", scores, q, m=3, collect_results=False)
     # m=3 → partitions of ~n/3, so roughly 200/20 = 10 seals
     assert r.metrics.partitions_sealed >= 5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_non_finite_scores_rejected_at_attach(algo, bad):
+    q = TopKQuery(n=40, k=4, s=4)
+    scores = gen_stream("TIMEU", 120, seed=0)
+    scores[77] = bad
+    with pytest.raises(ValueError, match="finite"):
+        make_algorithm(algo, q).attach(scores)
+    with pytest.raises(ValueError, match="finite"):
+        run_stream(algo, scores, q)

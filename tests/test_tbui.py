@@ -1,15 +1,65 @@
 """Unit tests for TBUI k-unit identification (core/tbui.py)."""
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.metrics import Metrics
 from repro.core.tbui import TBUITracker
 
 
-def drive(scores, k=5, lmin=50):
+def drive(scores, k=5, lmin=50, cuts=None):
+    """Feed ``scores`` as runs split at ``cuts`` (default: one run)."""
     tr = TBUITracker(k, lmin, Metrics())
-    for t, sc in enumerate(scores):
-        tr.ingest(t, float(sc))
+    run = [float(sc) for sc in scores]
+    bounds = [0, *sorted(cuts or ()), len(run)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        tr.ingest_run(lo, run[lo:hi])
     return tr
+
+
+def reference_drive(scores, k, lmin):
+    """Algorithm 2 lines 3–9 stepped one object at a time."""
+    tr = TBUITracker(k, lmin, Metrics())
+    for t, sc in enumerate(float(x) for x in scores):
+        if tr.unit_count == 0:
+            tr.unit_start = t
+        tr.unit_count += 1
+        tr.unit_max = max(tr.unit_max, (sc, t))
+        if sc >= tr.tau:
+            tr.u_tau.append((sc, t))
+            if tr.flag and len(tr.u_tau) == 2 * tr.zs:
+                tr._raise_tau()
+            elif not tr.flag and len(tr.u_tau) > max(2 * tr.zs, tr.zmax):
+                tr._raise_tau()
+                tr.flag = True
+        if tr.unit_count == lmin:
+            tr._complete_unit(t + 1)
+    return tr
+
+
+def _state(tr):
+    return (tr.labels, tr.tau, tr.flag, tr.u_tau, tr.unit_max,
+            tr.unit_count, tr.metrics.examined)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=8), min_size=100, max_size=400),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=120),
+    st.data(),
+)
+def test_runs_match_one_at_a_time(vals, k, lmin, data):
+    """Labels, τ and op counts do not depend on how arrivals are split."""
+    # few score levels, so arrivals often tie τ; units of up to 120
+    # objects, so τ gets raised (that takes 2ζ* ≥ 22 above-τ arrivals)
+    scores = np.array(vals, dtype=np.float64) / 4
+    n = len(scores)
+    expected = _state(reference_drive(scores, k, lmin))
+    cuts = data.draw(st.sets(st.integers(min_value=1, max_value=max(1, n - 1))))
+    assert _state(drive(scores, k, lmin, cuts=range(1, n))) == expected
+    assert _state(drive(scores, k, lmin)) == expected
+    assert _state(drive(scores, k, lmin, cuts=cuts)) == expected
 
 
 def test_labels_tile_the_stream():
