@@ -1,4 +1,4 @@
-"""Shared SparkSession setup + CLI plumbing for the job entrypoints.
+"""Shared SparkSession setup for the job entrypoints.
 
 Jobs mirror the test fixture's configuration (local[*], Arrow on,
 broadcast joins off) so ``spark-submit jobs/<name>.py`` reproduces the
@@ -6,12 +6,11 @@ same numbers the pytest benchmarks produce.
 """
 from __future__ import annotations
 
-import argparse
 import pathlib
 
 from pyspark.sql import SparkSession
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def get_spark(app: str) -> SparkSession:
@@ -24,20 +23,3 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )
-
-
-def table_arg_parser(desc: str) -> argparse.ArgumentParser:
-    """Common CLI: --preset bench|small, --serial to skip Spark fan-out."""
-    p = argparse.ArgumentParser(description=desc)
-    p.add_argument(
-        "--preset",
-        choices=["bench", "small"],
-        default="bench",
-        help="parameter grid size (bench = paper-scale grids)",
-    )
-    p.add_argument(
-        "--serial",
-        action="store_true",
-        help="run cells serially in-process instead of via Spark",
-    )
-    return p

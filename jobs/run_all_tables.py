@@ -1,25 +1,44 @@
-"""spark-submit entrypoint: reproduce every table + the shape summary.
+"""spark-submit entrypoint: run the table sweeps and render EXPERIMENTS.md.
 
-Runs the three sweeps once (Table 2's, the regular-speed one feeding
-Tables 3/6/8, the high-speed one feeding Tables 5/7/9), renders all
-paper-vs-ours tables, and writes ``results/ALL_TABLES.md`` — the table
-section embedded in EXPERIMENTS.md.
+Runs each named sweep once (all three by default): ``table2`` (Table
+2), ``regular`` (Tables 3/6/8) and ``high`` (Tables 5/7/9). Each sweep
+is saved as ``results/sweep_<name>.json``; EXPERIMENTS.md is then
+re-rendered as ``results/EXPERIMENTS_HEADER.md`` plus the tables built
+from every ``results/sweep_*.json``, so re-running one sweep refreshes
+the whole document.
 """
-from common import RESULTS_DIR, get_spark, table_arg_parser
+import argparse
 
-from repro.harness.tables import build_markdown, run_all_tables
+from common import REPO_ROOT, get_spark
+
+from repro.harness.tables import SWEEPS, run_tables
 
 
 def main() -> None:
-    args = table_arg_parser(__doc__).parse_args()
+    p = argparse.ArgumentParser(description=__doc__)
+    # no ``choices=``: Python 3.11 checks an empty ``nargs="*"`` against it
+    p.add_argument(
+        "sweeps",
+        nargs="*",
+        metavar="SWEEP",
+        help=f"sweeps to re-run, of {', '.join(SWEEPS)} (default: all)",
+    )
+    p.add_argument(
+        "--preset",
+        choices=["bench", "small"],
+        default="bench",
+        help="parameter grid size (bench = paper-scale grids)",
+    )
+    p.add_argument(
+        "--serial",
+        action="store_true",
+        help="run cells serially in-process instead of via Spark",
+    )
+    args = p.parse_args()
+    if unknown := sorted(set(args.sweeps) - set(SWEEPS)):
+        p.error(f"unknown sweep(s) {unknown}; choose from {', '.join(SWEEPS)}")
     spark = None if args.serial else get_spark("all-tables")
-    results = run_all_tables(spark, args.preset)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    for name, df in results.items():
-        df.to_json(RESULTS_DIR / f"sweep_{name}.json", orient="records", indent=1)
-    md = build_markdown(results)
-    (RESULTS_DIR / "ALL_TABLES.md").write_text(md + "\n")
-    print(md)
+    print(run_tables(REPO_ROOT, args.sweeps or SWEEPS, spark, args.preset))
     if spark is not None:
         spark.stop()
 

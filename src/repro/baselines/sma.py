@@ -52,7 +52,8 @@ class SMA(StreamTopK):
         if self.cands.remove(score, t):
             self.metrics.deletions += 1
 
-    def _after_slide(self) -> None:
+    def slide(self, j: int) -> None:  # noqa: D102 — re-scans on underflow
+        super().slide(j)
         # Correctness invariant: whenever |C| ≥ k at emission time, every
         # alive object outside C is either below θ (outscored by the ≥ k
         # alive candidates) or dominated — so re-scan only if |C| < k

@@ -70,7 +70,6 @@ class StreamTopK(ABC):
         self.window_start = j * q.s
         self._ingest_range(q.n + (j - 1) * q.s, q.n + j * q.s)
         self.window_end = q.n + j * q.s
-        self._after_slide()
 
     # -- hooks -----------------------------------------------------------
     def _ingest_range(self, lo: int, hi: int) -> None:
@@ -87,9 +86,6 @@ class StreamTopK(ABC):
     @abstractmethod
     def _expire(self, t: int, score: float) -> None:
         """Process one expiring object (the current oldest)."""
-
-    def _after_slide(self) -> None:
-        """Hook run once per slide after expiries+arrivals (optional)."""
 
     @abstractmethod
     def topk(self) -> list[int]:

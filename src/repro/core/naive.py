@@ -22,6 +22,9 @@ def window_topk(scores: np.ndarray, start: int, q: TopKQuery) -> np.ndarray:
     w = scores[start : start + q.n]
     if len(w) < q.n:
         raise ValueError("window extends past end of stream")
+    if not np.isfinite(w).all():
+        # lexsort would rank NaN last; Spark and DuckDB rank it first
+        raise ValueError("scores must be finite (no NaN or ±inf)")
     # Full composite-key sort so ties at the k-boundary resolve by the
     # shared tie-break (newer wins), not by argpartition's arbitrary pick.
     t = np.arange(start, start + q.n)
@@ -30,7 +33,12 @@ def window_topk(scores: np.ndarray, start: int, q: TopKQuery) -> np.ndarray:
 
 
 def all_windows_topk(scores: np.ndarray, q: TopKQuery) -> list[np.ndarray]:
-    """Top-k arrival indices for every full window of the stream."""
+    """Top-k arrival indices for every full window of the stream.
+
+    Rejects NaN or ±inf anywhere in the stream, as ``attach`` does.
+    """
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite (no NaN or ±inf)")
     return [
         window_topk(scores, j * q.s, q)
         for j in range(q.num_windows(len(scores)))

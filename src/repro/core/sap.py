@@ -76,11 +76,6 @@ class SAPPartition:
         """Score of the partition's k-th best (-inf if under-full)."""
         return self.topk[0][0] if self.topk else float("-inf")
 
-    def size(self) -> int:
-        """Number of objects ingested into this partition so far."""
-        assert self.end is not None
-        return self.end - self.start
-
 
 class SAP(StreamTopK):
     """The SAP framework under a chosen partitioning mode."""
@@ -331,12 +326,9 @@ class SAP(StreamTopK):
     # ---------------------------------------------------- M construction
     def _form_meaningful(
         self, part: SAPPartition, rho: int, f_theta: float
-    ) -> MeaningfulSet | None:
+    ) -> MeaningfulSet:
         """Build the partition's meaningful-object set M (§5)."""
-        k = self.q.k
-        cap = k - rho
-        if cap <= 0:
-            return None
+        cap = self.q.k - rho
         self.metrics.m_formations += 1
         ms = MeaningfulSet()
         assert part.end is not None and self.scores is not None
@@ -464,10 +456,7 @@ class SAP(StreamTopK):
                 self.metrics.units_skipped += 1
                 continue
             assert self.scores is not None
-            cap = self.q.k - (front.rho or 0)
-            if cap <= 0:
-                continue
-            deep = SAVL(cap)
+            deep = SAVL(self.q.k - front.rho)
             summary_ts = {t for _, t in lab.summary}
             lo = max(lab.start, drain_t + 1)
             for t in range(lab.end - 1, lo - 1, -1):

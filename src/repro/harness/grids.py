@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from repro.streams.datasets import DATASETS
 
-TABLE2_M_VALUES = (5, 9, 13, 17, 21, 25, 29, 33, 37)
 TABLE2_VARIANTS = {
     "non-delay": {"delay": False},
     "algo1": {"use_savl": False},
@@ -40,6 +39,15 @@ CAND_ALGOS = {
     "k-skyband": "kskyband",
 }
 HS_ALGOS = {"SAP": "sap-enhanced", "minTopK": "mintopk"}
+# the regular sweep runs each algorithm of Tables 3/6/8 once; this order
+# fixes the sweep's cell ids
+REGULAR_ALGOS = {
+    "EN-DYNA": "sap-enhanced",
+    "DYNA": "sap-dynamic",
+    "EQUAL": "sap-equal",
+    "minTopK": "mintopk",
+    "k-skyband": "kskyband",
+}
 
 
 @dataclass(frozen=True)

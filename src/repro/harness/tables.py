@@ -7,14 +7,17 @@ metric columns of the same runs):
 * ``regular`` — Tables 3 (time), 6 (candidates), 8 (memory),
 * ``high``    — Tables 5 (time), 7 (candidates), 9 (memory).
 
-``run_all_tables`` executes the sweeps (distributed via
+``run_tables`` executes the named sweeps (distributed via
 :func:`repro.spark.sweep.run_sweep` when given a SparkSession, serially
-otherwise), pivots the metric of interest back into the paper's
-dataset × algorithm × axis layout, and renders paper-vs-ours markdown
-plus shape-check summaries for EXPERIMENTS.md.
+otherwise), saves each as ``results/sweep_<name>.json`` and re-renders
+EXPERIMENTS.md from every sweep file on disk: the pivots put the metric
+of interest back into the paper's dataset × algorithm × axis layout and
+the markdown pairs it with the paper's numbers, plus shape-check
+summaries.
 """
 from __future__ import annotations
 
+import json
 import pathlib
 from collections.abc import Iterable
 
@@ -28,13 +31,15 @@ from .grids import (
     ALL_DATASETS,
     CAND_ALGOS,
     HS_ALGOS,
-    TABLE2_M_VALUES,
+    REGULAR_ALGOS,
     TABLE2_VARIANTS,
     TABLE3_ALGOS,
     SweepSpec,
     spec_for,
 )
 
+#: the three sweeps behind every table, in the order they are run
+SWEEPS = ("table2", "regular", "high")
 #: table name -> (sweep regime, algo-label map, metric column, unit)
 TABLE_DEFS = {
     "table3": ("regular", TABLE3_ALGOS, "wall_time_s", "seconds"),
@@ -58,7 +63,7 @@ def cells_table2(preset: str = "bench") -> list[dict]:
     """Cells for Table 2: equal partition, m sweep × ablation variants."""
     spec = spec_for(preset, "regular")
     m_values: Iterable[int] = (
-        TABLE2_M_VALUES if preset == "bench" else (3, 5, 9)
+        paper.TABLE2_M if preset == "bench" else (3, 5, 9)
     )
     cells = []
     cid = 0
@@ -126,32 +131,53 @@ def run_cells(
     return pd.DataFrame([run_cell(c) for c in cells])
 
 
-def run_all_tables(
-    spark: SparkSession | None = None, preset: str = "bench"
-) -> dict[str, pd.DataFrame]:
-    """Run the three sweeps; returns raw metric frames keyed by sweep."""
-    regular_algos = {**TABLE3_ALGOS, **CAND_ALGOS}  # union, deduped by algo
-    # dedupe algo ids (sap-enhanced appears under two labels)
-    seen: dict[str, str] = {}
-    for label, algo in regular_algos.items():
-        seen.setdefault(algo, label)
-    regular_unique = {lab: alg for alg, lab in seen.items()}
+def sweep_cells(name: str, preset: str = "bench") -> list[dict]:
+    """Cells of one of the ``SWEEPS``."""
+    if name == "table2":
+        return cells_table2(preset)
+    algos = {"regular": REGULAR_ALGOS, "high": HS_ALGOS}[name]
+    return cells_sweep(name, algos, preset)
+
+
+def load_sweeps(results_dir: pathlib.Path) -> dict[str, pd.DataFrame]:
+    """Read every ``sweep_<name>.json`` back into its raw metric frame."""
     return {
-        "table2": run_cells(cells_table2(preset), spark),
-        "regular": run_cells(
-            cells_sweep("regular", regular_unique, preset), spark
-        ),
-        "high": run_cells(cells_sweep("high", HS_ALGOS, preset), spark),
+        name: pd.read_json(
+            results_dir / f"sweep_{name}.json",
+            dtype={"label": str, "opts": str},
+        )
+        for name in SWEEPS
     }
 
 
-def save_table(
-    results_dir: pathlib.Path, name: str, df: pd.DataFrame, markdown: str
-) -> None:
-    """Write one table's raw sweep frame and rendered markdown."""
+def render_experiments(results_dir: pathlib.Path) -> str:
+    """EXPERIMENTS.md: the hand-written header + tables from the sweep files."""
+    header = (results_dir / "EXPERIMENTS_HEADER.md").read_text()
+    return header + build_markdown(load_sweeps(results_dir)) + "\n"
+
+
+def run_tables(
+    root: pathlib.Path,
+    sweeps: Iterable[str] = SWEEPS,
+    spark: SparkSession | None = None,
+    preset: str = "bench",
+) -> str:
+    """Run each named sweep once and re-render ``root/EXPERIMENTS.md``.
+
+    Each sweep's frame goes to ``root/results/sweep_<name>.json``; the
+    document is then rendered from all sweep files there, so re-running
+    one sweep refreshes every table. Returns the document.
+    """
+    results_dir = root / "results"
     results_dir.mkdir(exist_ok=True)
-    df.to_json(results_dir / f"{name}.json", orient="records", indent=1)
-    (results_dir / f"{name}.md").write_text(markdown + "\n")
+    for name in sweeps:
+        df = run_cells(sweep_cells(name, preset), spark)
+        df.to_json(
+            results_dir / f"sweep_{name}.json", orient="records", indent=1
+        )
+    doc = render_experiments(results_dir)
+    (root / "EXPERIMENTS.md").write_text(doc)
+    return doc
 
 
 # ------------------------------------------------------------------ pivots
@@ -166,8 +192,6 @@ def _series(
 
 def pivot_table2(df: pd.DataFrame) -> dict:
     """Table-2 layout: dataset -> variant -> (m labels, values)."""
-    import json
-
     out: dict = {}
     for ds in ALL_DATASETS:
         out[ds] = {}
@@ -220,9 +244,9 @@ def markdown_table2(ours: dict) -> str:
         "#### Table 2 — equal partition running time vs m (seconds)",
         "",
         "| dataset | variant | source | " + " | ".join(
-            f"m={m}" for m in TABLE2_M_VALUES
+            f"m={m}" for m in paper.TABLE2_M
         ) + " |",
-        "|---|---|---|" + "---|" * len(TABLE2_M_VALUES),
+        "|---|---|---|" + "---|" * len(paper.TABLE2_M),
     ]
     for ds in ALL_DATASETS:
         for variant in TABLE2_VARIANTS:
@@ -261,15 +285,8 @@ def markdown_sweep_table(name: str, ours: dict, title: str, unit: str) -> str:
                     continue
                 labels, vals = ours[ds][algo_label][axis]
                 if not header_written:
-                    lines.append(
-                        "| dataset | algo | source | "
-                        + " | ".join(labels)
-                        + " (ours) / "
-                        + " , ".join(pcols)
-                        + " (paper) |" .replace("|  |", "| |")
-                    )
                     ncols = max(len(labels), len(pcols))
-                    lines[-1] = (
+                    lines.append(
                         "| dataset | algo | source | "
                         + " | ".join(f"c{i+1}" for i in range(ncols))
                         + " |"

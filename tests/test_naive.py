@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.naive import all_windows_topk, window_topk
 from repro.core.query import TopKQuery
+from repro.streams.runner import run_stream
 
 
 def test_simple_window():
@@ -47,3 +48,22 @@ def test_k_equals_n():
     scores = np.array([3.0, 1.0, 2.0])
     q = TopKQuery(n=3, k=3, s=1)
     assert list(window_topk(scores, 0, q)) == [0, 2, 1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_scores_rejected(bad):
+    # lexsort would rank NaN last while Spark and DuckDB rank it first
+    q = TopKQuery(n=10, k=3, s=5)
+    scores = np.arange(22, dtype=float)
+    scores[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        window_topk(scores, 5, q)
+    with pytest.raises(ValueError, match="finite"):
+        all_windows_topk(scores, q)
+    with pytest.raises(ValueError, match="finite"):
+        run_stream("naive", scores, q)
+    # past the last full window: rejected for the whole stream, as attach does
+    scores = np.arange(22, dtype=float)
+    scores[21] = bad
+    with pytest.raises(ValueError, match="finite"):
+        run_stream("naive", scores, q)

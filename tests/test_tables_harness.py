@@ -1,4 +1,7 @@
 """Table harness tests: grids, cell builders, pivots, markdown, paper data."""
+import pathlib
+import shutil
+
 import pandas as pd
 import pytest
 
@@ -6,21 +9,29 @@ from repro.harness import paper_numbers as paper
 from repro.harness.grids import (
     ALL_DATASETS,
     HS_ALGOS,
-    TABLE2_M_VALUES,
     TABLE2_VARIANTS,
     spec_for,
 )
 from repro.harness.tables import (
+    SWEEPS,
     TABLE_DEFS,
     build_markdown,
     cells_sweep,
     cells_table2,
+    load_sweeps,
     markdown_sweep_table,
     pivot_sweep,
     pivot_table2,
+    render_experiments,
     run_cells,
-    run_all_tables,
+    run_tables,
+    sweep_cells,
 )
+from repro.spark.sweep import CELL_FIELDS, PARAM_FIELDS
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TABLE_HEADINGS = ("Table 2", "Table 3", "Table 5", "Table 6", "Table 7",
+                  "Table 8", "Table 9", "Shape checks")
 
 
 def test_specs_valid():
@@ -38,7 +49,7 @@ def test_specs_valid():
 def test_cells_table2_structure():
     cells = cells_table2("bench")
     assert len(cells) == len(ALL_DATASETS) * len(TABLE2_VARIANTS) * len(
-        TABLE2_M_VALUES
+        paper.TABLE2_M
     )
     assert all(c["axis"] == "m" for c in cells)
 
@@ -79,8 +90,18 @@ def test_table_defs_reference_known_metrics():
 
 
 @pytest.fixture(scope="module")
-def tiny_results():
-    return run_all_tables(spark=None, preset="small")
+def tiny_root(tmp_path_factory):
+    """A scratch root: the committed header, then every small sweep run."""
+    root = tmp_path_factory.mktemp("tables")
+    (root / "results").mkdir()
+    shutil.copy(ROOT / "results" / "EXPERIMENTS_HEADER.md", root / "results")
+    run_tables(root, preset="small")
+    return root
+
+
+@pytest.fixture(scope="module")
+def tiny_results(tiny_root):
+    return load_sweeps(tiny_root / "results")
 
 
 def test_run_all_tables_small(tiny_results):
@@ -107,9 +128,52 @@ def test_pivot_sweep_and_markdown(tiny_results):
 
 def test_build_markdown_complete(tiny_results):
     md = build_markdown(tiny_results)
-    for t in ("Table 2", "Table 3", "Table 5", "Table 6", "Table 7",
-              "Table 8", "Table 9", "Shape checks"):
+    for t in TABLE_HEADINGS:
         assert t in md
+
+
+def test_run_tables_writes_sweeps_and_document(tiny_root):
+    results = tiny_root / "results"
+    assert sorted(p.name for p in results.glob("sweep_*.json")) == sorted(
+        f"sweep_{name}.json" for name in SWEEPS
+    )
+    doc = (tiny_root / "EXPERIMENTS.md").read_text()
+    assert doc == render_experiments(results)
+    for t in TABLE_HEADINGS:
+        assert t in doc
+
+
+def test_rerun_one_sweep_refreshes_document(tiny_root, tmp_path):
+    root = tmp_path / "root"
+    shutil.copytree(tiny_root, root)
+    results = root / "results"
+    others = {
+        name: (results / f"sweep_{name}.json").read_bytes()
+        for name in ("regular", "high")
+    }
+    (root / "EXPERIMENTS.md").write_text("stale\n")
+    doc = run_tables(root, ["table2"], preset="small")
+    for name, before in others.items():
+        assert (results / f"sweep_{name}.json").read_bytes() == before
+    assert (root / "EXPERIMENTS.md").read_text() == doc
+    assert doc == render_experiments(results)
+    for t in TABLE_HEADINGS:
+        assert t in doc
+
+
+def test_committed_experiments_md_matches_sweeps():
+    # EXPERIMENTS.md is the only rendered copy of the committed sweeps
+    doc = (ROOT / "EXPERIMENTS.md").read_text()
+    assert doc == render_experiments(ROOT / "results")
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_committed_sweeps_match_cells(name):
+    # the committed frames stay valid only while the cells are unchanged
+    cols = list(CELL_FIELDS + PARAM_FIELDS)
+    df = load_sweeps(ROOT / "results")[name]
+    cells = [{c: cell[c] for c in cols} for cell in sweep_cells(name)]
+    assert df[cols].to_dict("records") == cells
 
 
 def test_run_cells_serial_matches_structure(tiny_results):
