@@ -12,17 +12,18 @@ the sweep harness can drive any of them interchangeably:
   inside the current window.
 * ``warmup()`` — ingest the first ``n`` objects (t = 0..n-1).
 * ``slide(j)`` — advance to window ``j`` (j ≥ 1): expire the objects
-  ``t ∈ [(j-1)s, js)`` one by one, then ingest ``t ∈ [n+(j-1)s, n+js)``.
+  ``t ∈ [(j-1)s, js)``, then ingest ``t ∈ [n+(j-1)s, n+js)``.
 * ``topk()`` — the current window's top-k arrival indices, best-first
   under the shared tie-break (score desc, t desc).
 * ``candidate_count()`` — current size of the candidate structures
   (``|C ∪ M_0|`` for SAP), sampled once per emitted window.
 
-Subclasses implement ``_expire`` and one of two arrival hooks. Both
-``warmup`` and ``slide`` hand their arrivals over as one range,
-``_ingest_range(lo, hi)``; its default feeds ``_ingest(t, score)`` one
-object at a time, which is what the baselines use. SAP overrides
-``_ingest_range`` instead and works on whole runs of arrivals.
+Subclasses implement one hook of each pair. Both ``warmup`` and
+``slide`` hand their arrivals over as one range, ``_ingest_range(lo,
+hi)``, and ``slide`` hands its expiries over as one range too,
+``_expire_range(lo, hi)``. The defaults feed ``_ingest(t, score)`` and
+``_expire(t, score)`` one object at a time, which is what the baselines
+use. SAP overrides both range hooks instead and works per slide.
 """
 from __future__ import annotations
 
@@ -65,8 +66,7 @@ class StreamTopK(ABC):
         """Advance from window ``j-1`` to window ``j``."""
         assert self.scores is not None and j >= 1
         q = self.q
-        for t in range((j - 1) * q.s, j * q.s):
-            self._expire(t, float(self.scores[t]))
+        self._expire_range((j - 1) * q.s, j * q.s)
         self.window_start = j * q.s
         self._ingest_range(q.n + (j - 1) * q.s, q.n + j * q.s)
         self.window_end = q.n + j * q.s
@@ -83,9 +83,16 @@ class StreamTopK(ABC):
         """Process one arriving object (the default ``_ingest_range``'s step)."""
         raise NotImplementedError
 
-    @abstractmethod
+    def _expire_range(self, lo: int, hi: int) -> None:
+        """Process the expiries ``t ∈ [lo, hi)``, oldest first."""
+        scores = self.scores
+        assert scores is not None
+        for t in range(lo, hi):
+            self._expire(t, float(scores[t]))
+
     def _expire(self, t: int, score: float) -> None:
-        """Process one expiring object (the current oldest)."""
+        """Process one expiring object (the default ``_expire_range``'s step)."""
+        raise NotImplementedError
 
     @abstractmethod
     def topk(self) -> list[int]:

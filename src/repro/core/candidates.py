@@ -32,6 +32,11 @@ class CandidateSet:
     def __contains__(self, t: int) -> bool:
         return t in self._dom
 
+    def members_in(self, lo: int, hi: int) -> list[int]:
+        """Arrival indices ``t ∈ [lo, hi)`` held in the set, ascending."""
+        dom = self._dom
+        return [t for t in range(lo, hi) if t in dom]
+
     def insert(self, score: float, t: int, dom: int = 0) -> None:
         """Insert one candidate with dominance counter ``dom``."""
         bisect.insort(self._entries, (score, t))

@@ -36,6 +36,7 @@ S-AVL are an optimisation, never a correctness dependency.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from collections import deque
 from itertools import islice
@@ -261,48 +262,69 @@ class SAP(StreamTopK):
             part.prepared = True
 
     # ----------------------------------------------------------- expiries
-    def _expire(self, t: int, score: float) -> None:
-        self._ensure_front_ready()
-        front = self.sealed[0] if self.sealed else None
-        if t == self._report_min_t:
-            # t is the window's oldest: it was reported iff it is the
-            # report's oldest. A reported object usually leaves from C,
-            # which drops the report below anyway; this also covers one
-            # still held in M_0.
+    def _expire_range(self, lo: int, hi: int) -> None:
+        """Expire one slide, ``t ∈ [lo, hi)``, in one pass.
+
+        Partitions hold whole slides, so the slide lies inside the front
+        partition. Work is done only at the C members among the expiring
+        objects (removal plus an S-AVL promotion) and at UBSA deep-scan
+        horizons, in ``t`` order and with a removal before a deep scan at
+        the same ``t``, as an object-by-object drain orders them. A
+        promoted object that expires later in the slide joins the queue.
+        """
+        front = self.sealed[0]
+        if not front.prepared:
+            self._ready_front(front)
+        if lo <= self._report_min_t < hi:
+            # the first reported object to expire is the report's oldest.
+            # It usually leaves from C, which drops the report below
+            # anyway; this also covers one still held in M_0.
             self._report = None
-        if t in self.C:
-            self.C.remove(score, t)
+        C, m, scores = self.C, front.m, self.scores
+        assert scores is not None
+        gone = C.members_in(lo, hi)  # ascending, so already a heap
+        # only a UBSA-built M holds k-unit summaries; the exact skyband of
+        # use_savl=False already covers every unit
+        labels = (
+            front.labels
+            if m is not None and self.mode == "enhanced" and self.use_savl
+            else None
+        )
+        while True:
+            t = gone[0] if gone else hi
+            if labels and front.deep_idx < len(labels):
+                # the first t within one unit of the next label's start
+                drain_t = max(lo, labels[front.deep_idx].start - self.u_len)
+                if drain_t < t:
+                    self._deep_scan(front, drain_t)
+                    continue
+            if t == hi:
+                break
+            heapq.heappop(gone)
+            C.remove(float(scores[t]), t)
             self.metrics.deletions += 1
             self._report = None
-            if front is not None and front.m is not None:
-                promoted = front.m.pop_max(t + 1)
+            if m is not None:
+                promoted = m.pop_max(t + 1)
                 if promoted is not None:
-                    self.C.insert(promoted[0], promoted[1])
+                    C.insert(promoted[0], promoted[1])
                     self.metrics.insertions += 1
-        if front is not None:
-            if self.mode == "enhanced" and self.use_savl:
-                # only a UBSA-built M holds k-unit summaries; the exact
-                # skyband of use_savl=False already covers every unit
-                self._maybe_deep_scan(front, t)
-            if front.end is not None and t == front.end - 1:
-                self.sealed.popleft()
-                self._report = None
-                if self.tbui is not None:
-                    self.tbui.drop_before(front.end)
+                    if promoted[1] < hi:
+                        heapq.heappush(gone, promoted[1])
+        if hi == front.end:
+            self.sealed.popleft()
+            self._report = None
+            if self.tbui is not None:
+                self.tbui.drop_before(hi)
 
-    def _ensure_front_ready(self) -> None:
-        """Compute ρ and (maybe) form M for the current front partition.
+    def _ready_front(self, front: SAPPartition) -> None:
+        """Compute ρ and (maybe) form M for the partition now at the front.
 
         Deferred to the moment the partition reaches the front
         (Algorithm 1's delay policy): only now is ρ final enough to
         skip useless M formations, and only now is the global bound Fθ
         drawn from objects guaranteed to outlive the front.
         """
-        if not self.sealed:
-            return
-        front = self.sealed[0]
-        if front.prepared:
-            return
         front.prepared = True
         assert front.end is not None
         rho = self.C.rho(front.kth_score(), front.end)
@@ -381,7 +403,7 @@ class SAP(StreamTopK):
 
         Phase 1 (here): non-k-units are scanned into the main S-AVL
         unless their best object is already below Fθ; k-units contribute
-        only their L_i top-k summary. Phase 2 (``_maybe_deep_scan``):
+        only their L_i top-k summary. Phase 2 (``_deep_scan``):
         a k-unit's deep members are scanned only when the drain pointer
         is within one unit, and skipped entirely when the summary's
         minimum is below Fθ.
@@ -435,11 +457,10 @@ class SAP(StreamTopK):
                 ms.add(extra)
         ms.add(main)
 
-    def _maybe_deep_scan(self, front: SAPPartition, drain_t: int) -> None:
-        """UBSA phase 2: deep-scan approaching k-units of the front."""
-        if front.m is None or not front.labels:
-            return
-        horizon = drain_t + self.u_len  # within one unit of draining
+    def _deep_scan(self, front: SAPPartition, drain_t: int) -> None:
+        """UBSA phase 2: deep-scan the k-units within one unit of ``drain_t``."""
+        assert front.m is not None and front.labels is not None
+        horizon = drain_t + self.u_len
         labels = front.labels
         while (
             front.deep_idx < len(labels)

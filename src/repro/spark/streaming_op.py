@@ -7,8 +7,10 @@ micro-batch. ``applyInPandasWithState`` keys the stream by
 :class:`~repro.streams.incremental.IncrementalDriver` (SAP state: the
 partitions, candidate set C, S-AVL stacks) plus a reorder buffer —
 micro-batch boundaries are arbitrary and a file source may deliver rows
-out of order, so each batch's rows are staged and only the contiguous
-arrival-index prefix is fed to the algorithm.
+out of order, so each batch's rows are staged (:func:`stage_rows`) and
+only the contiguous arrival-index prefix is fed to the algorithm. A
+late row (its ``t`` already fed) and a repeated ``t`` (the first arrival
+wins) are dropped and counted in the state.
 
 Every completed window's top-k is emitted in the batch that completes
 it, in ``(stream_id, window_id, rank, t, score)`` rows — the same shape
@@ -18,7 +20,7 @@ oracle-comparable.
 from __future__ import annotations
 
 import pickle
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -47,6 +49,43 @@ OUTPUT_SCHEMA = StructType(
 )
 
 
+#: staging state of a stream no row has reached yet
+EMPTY_STAGE = {"pending": {}, "next_t": 0, "late": 0, "duplicate": 0}
+
+
+def stage_rows(
+    stage: dict, rows: Iterable[tuple[int, float]]
+) -> tuple[list[float], dict]:
+    """Stage one batch's ``(t, score)`` rows; return the run to feed.
+
+    ``stage`` holds the rows waiting for a gap to fill (``pending``), the
+    next arrival index to feed (``next_t``) and the running counts of
+    dropped rows: ``late`` (``t < next_t``, already fed) and
+    ``duplicate`` (``t`` already pending; the first arrival wins).
+    Returns the scores of the contiguous run from ``next_t`` and the new
+    stage; ``stage`` itself is not modified.
+    """
+    pending = dict(stage["pending"])
+    next_t, late, duplicate = stage["next_t"], stage["late"], stage["duplicate"]
+    for t, sc in rows:
+        if t < next_t:
+            late += 1
+        elif t in pending:
+            duplicate += 1
+        else:
+            pending[t] = sc
+    chunk: list[float] = []
+    while next_t in pending:
+        chunk.append(pending.pop(next_t))
+        next_t += 1
+    return chunk, {
+        "pending": pending,
+        "next_t": next_t,
+        "late": late,
+        "duplicate": duplicate,
+    }
+
+
 def _make_func(q: TopKQuery, algo: str, opts: dict):
     """Build the applyInPandasWithState function for the given query."""
 
@@ -58,30 +97,21 @@ def _make_func(q: TopKQuery, algo: str, opts: dict):
         sid = int(key[0])
         if state.exists:
             (blob,) = state.get
-            st = pickle.loads(bytes(blob))
-            drv = IncrementalDriver.loads(st["drv"])
-            pending: dict[int, float] = st["pending"]
-            next_t: int = st["next_t"]
+            stage = pickle.loads(bytes(blob))
+            drv = IncrementalDriver.loads(stage.pop("drv"))
         else:
             drv = IncrementalDriver(algo, q, **opts)
-            pending = {}
-            next_t = 0
-        for pdf in pdfs:
-            for t, sc in zip(pdf["t"], pdf["score"]):
-                pending[int(t)] = float(sc)
-        # feed the contiguous prefix
-        chunk: list[float] = []
-        while next_t in pending:
-            chunk.append(pending.pop(next_t))
-            next_t += 1
-        rows = drv.feed(pd.Series(chunk, dtype="float64").to_numpy())
-        state.update(
+            stage = EMPTY_STAGE
+        chunk, stage = stage_rows(
+            stage,
             (
-                pickle.dumps(
-                    {"drv": drv.dumps(), "pending": pending, "next_t": next_t}
-                ),
-            )
+                (int(t), float(sc))
+                for pdf in pdfs
+                for t, sc in zip(pdf["t"], pdf["score"])
+            ),
         )
+        rows = drv.feed(pd.Series(chunk, dtype="float64").to_numpy())
+        state.update((pickle.dumps({"drv": drv.dumps(), **stage}),))
         if rows:
             yield pd.DataFrame(
                 [(sid, w, r, t, sc) for (w, r, t, sc) in rows],

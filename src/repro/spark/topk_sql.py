@@ -28,8 +28,17 @@ def continuous_topk_sql(stream_df: DataFrame, q: TopKQuery) -> DataFrame:
 
     Input: ``(stream_id, t, score)``. Output:
     ``(stream_id, window_id, rank, t, score)`` with rank 1 = best.
+    A NaN, ±inf or null score (Arrow carries a pandas NaN as null) fails
+    the query when it runs, with the message ``StreamTopK.attach``
+    raises; the check stays a lazy Catalyst expression.
     """
     n, k, s = q.n, q.k, q.s
+    score = F.col("score")
+    non_finite = score.isNull() | F.isnan(score) | (F.abs(score) == float("inf"))
+    reject = F.raise_error(F.lit("scores must be finite (no NaN or ±inf)"))
+    stream_df = stream_df.withColumn(
+        "score", F.when(non_finite, reject).otherwise(score)
+    )
     bounds = stream_df.groupBy("stream_id").agg(
         F.floor((F.max("t") + 1 - F.lit(n)) / F.lit(s)).alias("jmax")
     )

@@ -1,4 +1,6 @@
 """Unit tests for metrics + the paper's complexity bounds on real runs."""
+import hashlib
+import itertools
 import math
 
 import pytest
@@ -128,3 +130,31 @@ def test_sap_metrics_pinned(variant):
     cols = ("insertions", "deletions", "examined", "m_formations",
             "units_skipped", "partitions_sealed", "avg_candidates", "memory_kb")
     assert tuple(row[c] for c in cols) == pytest.approx(expected, rel=1e-12)
+
+
+# sha256 of every window emitted on three fixed streams (STOCK, TIMER,
+# TIMEU; n=240 k=10 s=4), taken before slides were expired as one batch.
+# Every SAP variant must reproduce it: a speed-up that changes an emitted
+# top-k fails here.
+_PINNED_WINDOWS_SHA256 = (
+    "2e882f06dbaf0d4e09753a7fa146c4f48909117e2eb88a14bea44aaa394357d6"
+)
+_SAP_VARIANTS = {
+    mode + ("" if delay else "-nodelay") + ("" if savl else "-nosavl"): (
+        f"sap-{mode}", {"delay": delay, "use_savl": savl})
+    for mode, delay, savl in itertools.product(
+        ("equal", "dynamic", "enhanced"), (True, False), (True, False))
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_SAP_VARIANTS))
+def test_sap_windows_pinned(variant):
+    algo, opts = _SAP_VARIANTS[variant]
+    q = TopKQuery(n=240, k=10, s=4)
+    h = hashlib.sha256()
+    for ds in ("STOCK", "TIMER", "TIMEU"):
+        r = run_stream(algo, gen_stream(ds, 1200, seed=7), q, **opts)
+        h.update(ds.encode())
+        for w in r.results:
+            h.update((",".join(map(str, w.tolist())) + "\n").encode())
+    assert h.hexdigest() == _PINNED_WINDOWS_SHA256

@@ -1,6 +1,8 @@
 """Catalyst windowed top-k vs the DuckDB oracle (spark/topk_sql.py)."""
 import pandas as pd
 import pytest
+from pyspark.errors import SparkRuntimeException
+from pyspark.sql import functions as F
 
 from repro.core.query import TopKQuery
 from repro.oracle import assert_equivalent
@@ -50,3 +52,26 @@ def test_catalyst_row_count(spark):
     pdf = stream_pdf("TRIP", 120, seed=5)
     out = continuous_topk_sql(spark.createDataFrame(pdf), q)
     assert out.count() == q.num_windows(120) * q.k
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_catalyst_rejects_non_finite_scores(spark, bad):
+    q = TopKQuery(n=40, k=4, s=4)
+    df = spark.createDataFrame(stream_pdf("TIMEU", 123, seed=1))
+    # t = 10 lies in windows; t = 121 only in the tail after the last one
+    for pos in (10, 121):
+        score = F.when(F.col("t") == pos, F.lit(bad)).otherwise(F.col("score"))
+        out = continuous_topk_sql(df.withColumn("score", score), q)  # lazy
+        with pytest.raises(SparkRuntimeException, match="scores must be finite"):
+            out.collect()
+
+
+def test_catalyst_rejects_pandas_nan(spark):
+    # Arrow turns a pandas NaN into a null score
+    q = TopKQuery(n=40, k=4, s=4)
+    pdf = stream_pdf("TIMEU", 120, seed=1)
+    pdf.loc[10, "score"] = float("nan")
+    out = continuous_topk_sql(spark.createDataFrame(pdf), q)
+    with pytest.raises(SparkRuntimeException, match="scores must be finite"):
+        out.collect()

@@ -2,12 +2,17 @@
 import os
 import time
 
+import pandas as pd
 import pytest
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.core.query import TopKQuery
 from repro.oracle import assert_equivalent
-from repro.spark.streaming_op import continuous_topk_streaming
+from repro.spark.streaming_op import (
+    EMPTY_STAGE,
+    continuous_topk_streaming,
+    stage_rows,
+)
 from repro.spark.topk_sql import windowed_topk_oracle_sql
 from repro.streams.datasets import stream_pdf
 
@@ -21,11 +26,18 @@ SCHEMA = StructType(
 
 
 def _run_streaming(spark, tmp_path, pdf, q, n_chunks, name):
+    chunk_len = (len(pdf) + n_chunks - 1) // n_chunks
+    chunks = [
+        pdf.iloc[i * chunk_len : (i + 1) * chunk_len] for i in range(n_chunks)
+    ]
+    return _run_chunks(spark, tmp_path, chunks, q, name)
+
+
+def _run_chunks(spark, tmp_path, chunks, q, name):
+    """Stream one parquet file per chunk, in order, one per micro-batch."""
     src = tmp_path / "in"
     src.mkdir()
-    chunk_len = (len(pdf) + n_chunks - 1) // n_chunks
-    for i in range(n_chunks):
-        chunk = pdf.iloc[i * chunk_len : (i + 1) * chunk_len]
+    for i, chunk in enumerate(chunks):
         if len(chunk):
             chunk.to_parquet(src / f"chunk-{i:04d}.parquet")
             time.sleep(0.02)  # distinct mtimes keep file-source order
@@ -61,3 +73,34 @@ def test_streaming_operator_many_microbatches(spark, tmp_path):
     pdf = stream_pdf("STOCK", 120, seed=8)
     res = _run_streaming(spark, tmp_path, pdf, q, n_chunks=7, name="res_b")
     assert_equivalent(res, windowed_topk_oracle_sql(q), stream=pdf)
+
+
+def test_streaming_operator_drops_late_and_duplicate_rows(spark, tmp_path):
+    q = TopKQuery(n=40, k=4, s=4)
+    pdf = stream_pdf("STOCK", 120, seed=8)
+    gap = pdf.iloc[100:110]  # arrives early and waits behind t = 90..99
+    bogus = pdf.iloc[:60].assign(score=1e9)  # t = 0..59 replayed: late
+    repeat = gap.assign(score=-1e9)  # t = 100..109 again: duplicate
+    chunks = [
+        pdf.iloc[:50],
+        pd.concat([gap, pdf.iloc[50:90]]),
+        pd.concat([bogus, repeat, pdf.iloc[90:100], pdf.iloc[110:]]),
+    ]
+    res = _run_chunks(spark, tmp_path, chunks, q, name="res_c")
+    assert_equivalent(res, windowed_topk_oracle_sql(q), stream=pdf)
+
+
+def test_stage_rows_drops_late_and_duplicate_rows():
+    chunk, stage = stage_rows(
+        EMPTY_STAGE, [(1, 1.0), (0, 0.0), (3, 3.0), (3, 9.0)]
+    )
+    assert chunk == [0.0, 1.0]
+    assert stage == {"pending": {3: 3.0}, "next_t": 2, "late": 0, "duplicate": 1}
+    # t = 0, 1 were fed (late); t = 3 keeps its first score
+    chunk, after = stage_rows(
+        stage, [(0, 5.0), (1, 5.0), (3, 7.0), (2, 2.0), (4, 4.0)]
+    )
+    assert chunk == [2.0, 3.0, 4.0]
+    assert after == {"pending": {}, "next_t": 5, "late": 2, "duplicate": 2}
+    assert stage["pending"] == {3: 3.0}
+    assert EMPTY_STAGE == {"pending": {}, "next_t": 0, "late": 0, "duplicate": 0}
