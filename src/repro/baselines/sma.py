@@ -68,7 +68,6 @@ class SMA(StreamTopK):
 
     def _rescan(self) -> None:
         """Rebuild C = top-k_max skyband of the live window; reset θ."""
-        assert self.scores is not None
         w = self.scores[self.window_start : self.window_end]
         ts = np.arange(self.window_start, self.window_end)
         order = np.lexsort((-ts, -w))  # score desc, t desc

@@ -1,15 +1,23 @@
 """Common interface for all continuous top-k algorithms.
 
 Every algorithm (the SAP variants and the three baselines) consumes the
-stream through the same protocol so the runner, the Spark operator and
-the sweep harness can drive any of them interchangeably:
+stream through the same protocol so the runner, the incremental driver,
+the Spark operators and the sweep harness can drive any of them
+interchangeably:
 
-* ``attach(scores)`` — give the algorithm a read-only view of the full
-  score array; NaN or ±inf scores raise ``ValueError``. Semantically
-  this is "the window buffer": one-pass algorithms may only look at
-  arrivals, but multi-pass SMA re-scans the live window, and SAP scans
-  the front partition when forming ``M_0``; both only ever read indices
-  inside the current window.
+* ``extend(chunk)`` — append arrivals to ``scores``, the algorithm's one
+  copy of the stream, indexed by arrival index ``t``. It is the only
+  place arrivals are checked: NaN or ±inf raise ``ValueError`` and
+  nothing is appended. One-pass algorithms only read arrivals, but
+  multi-pass SMA re-scans the live window, and SAP scans the front
+  partition when forming ``M_0``; both only ever read indices inside
+  the current window.
+* ``attach(scores)`` — ``extend`` with a whole stream at once; a stream
+  shorter than one window raises ``ValueError``. The array is kept as
+  given, not copied.
+* ``windows(j0, j1)`` — the one window loop: yields the top-k of
+  windows ``j0 … j1-1`` in turn, stepping with ``warmup()`` for window 0
+  and ``slide(j)`` after.
 * ``warmup()`` — ingest the first ``n`` objects (t = 0..n-1).
 * ``slide(j)`` — advance to window ``j`` (j ≥ 1): expire the objects
   ``t ∈ [(j-1)s, js)``, then ingest ``t ∈ [n+(j-1)s, n+js)``.
@@ -28,6 +36,7 @@ use. SAP overrides both range hooks instead and works per slide.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -43,28 +52,50 @@ class StreamTopK(ABC):
     def __init__(self, q: TopKQuery) -> None:
         self.q = q
         self.metrics = Metrics()
-        self.scores: np.ndarray | None = None
+        self.scores = np.empty(0, dtype=np.float64)  # grown by extend()
         self.window_start = 0  # first alive t
         self.window_end = 0  # one past last ingested t
 
+    def extend(self, chunk: np.ndarray) -> None:
+        """Append arrivals, in arrival order, to the stream's scores.
+
+        Raises ``ValueError`` when the chunk holds a NaN or ±inf score;
+        nothing of it is appended. A chunk that starts the stream is
+        kept as given, not copied.
+        """
+        chunk = np.asarray(chunk, dtype=np.float64)
+        if not np.isfinite(chunk).all():
+            raise ValueError("scores must be finite (no NaN or ±inf)")
+        if len(self.scores):
+            self.scores = np.concatenate([self.scores, chunk])
+        else:
+            self.scores = chunk
+
     def attach(self, scores: np.ndarray) -> None:
-        """Attach the stream's score array (read-only window buffer)."""
+        """Take the whole stream at once (at least one window long)."""
         if len(scores) < self.q.n:
             raise ValueError("stream shorter than one window")
-        scores = np.asarray(scores, dtype=np.float64)
-        if not np.isfinite(scores).all():
-            raise ValueError("scores must be finite (no NaN or ±inf)")
-        self.scores = scores
+        self.extend(scores)
+
+    def windows(self, j0: int, j1: int) -> Iterator[list[int]]:
+        """Step to each window ``j0 … j1-1`` in turn and yield its top-k."""
+        if j1 > self.q.num_windows(len(self.scores)):
+            raise ValueError(f"window {j1 - 1} is past the extended arrivals")
+        for j in range(j0, j1):
+            if j:
+                self.slide(j)
+            else:
+                self.warmup()
+            yield self.topk()
 
     def warmup(self) -> None:
         """Ingest objects t = 0..n-1 (window 0 becomes available)."""
-        assert self.scores is not None, "call attach() first"
         self._ingest_range(0, self.q.n)
         self.window_end = self.q.n
 
     def slide(self, j: int) -> None:
         """Advance from window ``j-1`` to window ``j``."""
-        assert self.scores is not None and j >= 1
+        assert j >= 1
         q = self.q
         self._expire_range((j - 1) * q.s, j * q.s)
         self.window_start = j * q.s
@@ -75,7 +106,6 @@ class StreamTopK(ABC):
     def _ingest_range(self, lo: int, hi: int) -> None:
         """Process the arrivals ``t ∈ [lo, hi)`` in arrival order."""
         scores = self.scores
-        assert scores is not None
         for t in range(lo, hi):
             self._ingest(t, float(scores[t]))
 
@@ -86,7 +116,6 @@ class StreamTopK(ABC):
     def _expire_range(self, lo: int, hi: int) -> None:
         """Process the expiries ``t ∈ [lo, hi)``, oldest first."""
         scores = self.scores
-        assert scores is not None
         for t in range(lo, hi):
             self._expire(t, float(scores[t]))
 

@@ -84,17 +84,5 @@ class Metrics:
         }
 
 
-METRIC_COLUMNS: tuple[str, ...] = (
-    "wall_time_s",
-    "insertions",
-    "deletions",
-    "examined",
-    "rescans",
-    "rescan_examined",
-    "m_formations",
-    "units_skipped",
-    "partitions_sealed",
-    "avg_candidates",
-    "peak_candidates",
-    "memory_kb",
-)
+#: the columns of ``Metrics.as_row()``, in its order
+METRIC_COLUMNS: tuple[str, ...] = tuple(Metrics().as_row())

@@ -134,7 +134,6 @@ class SAP(StreamTopK):
         multiples of ``s`` past a partition start, so a slide is always
         a single run.
         """
-        assert self.scores is not None
         k = self.q.k
         equal = self.mode == "equal"
         while lo < hi:
@@ -281,7 +280,6 @@ class SAP(StreamTopK):
             # anyway; this also covers one still held in M_0.
             self._report = None
         C, m, scores = self.C, front.m, self.scores
-        assert scores is not None
         gone = C.members_in(lo, hi)  # ascending, so already a heap
         # only a UBSA-built M holds k-unit summaries; the exact skyband of
         # use_savl=False already covers every unit
@@ -353,7 +351,7 @@ class SAP(StreamTopK):
         cap = self.q.k - rho
         self.metrics.m_formations += 1
         ms = MeaningfulSet()
-        assert part.end is not None and self.scores is not None
+        assert part.end is not None
         lo = max(part.start, self.window_start)
         if not self.use_savl:
             ms.add(self._exact_skyband(lo, part.end, cap, f_theta))
@@ -362,22 +360,33 @@ class SAP(StreamTopK):
             self._ubsa(ms, part, lo, cap, f_theta)
             return ms
         savl = SAVL(cap)
-        for t in range(part.end - 1, lo - 1, -1):
-            if t in self.C:
-                continue
-            self.metrics.examined += 1
-            sc = float(self.scores[t])
-            if sc < f_theta:
-                continue
-            savl.offer(sc, t)
+        self._scan(savl, lo, part.end, f_theta)
         ms.add(savl)
         return ms
+
+    def _scan(
+        self, savl: SAVL, lo: int, hi: int, f_theta: float, skip=()
+    ) -> None:
+        """Reverse scan: offer ``t ∈ [lo, hi)``, newest first, to ``savl``.
+
+        C members and ``skip`` are passed over; every other object counts
+        as examined and is offered when it scores at least ``f_theta``.
+        """
+        C, scores = self.C, self.scores
+        examined = 0
+        for t in range(hi - 1, lo - 1, -1):
+            if t in C or t in skip:
+                continue
+            examined += 1
+            sc = float(scores[t])
+            if sc >= f_theta:
+                savl.offer(sc, t)
+        self.metrics.examined += examined
 
     def _exact_skyband(
         self, lo: int, hi: int, cap: int, f_theta: float
     ) -> SortedMeaningful:
         """No-S-AVL formation: exact skyband via full dominance counts."""
-        assert self.scores is not None
         seen: list[float] = []  # scores of scanned (newer) objects, asc
         kept: list[tuple[float, int]] = []
         for t in range(hi - 1, lo - 1, -1):
@@ -408,7 +417,7 @@ class SAP(StreamTopK):
         is within one unit, and skipped entirely when the summary's
         minimum is below Fθ.
         """
-        assert part.labels is not None and self.scores is not None
+        assert part.labels is not None
         main = SAVL(cap)
         spans = sorted((lab.start, lab.end) for lab in part.labels)
         for lab in sorted(part.labels, key=lambda x: -x.start):  # newest 1st
@@ -416,14 +425,7 @@ class SAP(StreamTopK):
                 if lab.top1()[0] < f_theta:
                     self.metrics.units_skipped += 1
                     continue
-                for t in range(lab.end - 1, max(lab.start, lo) - 1, -1):
-                    if t in self.C:
-                        continue
-                    self.metrics.examined += 1
-                    sc = float(self.scores[t])
-                    if sc < f_theta:
-                        continue
-                    main.offer(sc, t)
+                self._scan(main, max(lab.start, lo), lab.end, f_theta)
             else:
                 entries = [
                     (sc, t)
@@ -446,13 +448,7 @@ class SAP(StreamTopK):
             uncovered.append((pos, part.end))
         for a, b in reversed(uncovered):
             extra = SAVL(cap)
-            for t in range(b - 1, max(a, lo) - 1, -1):
-                if t in self.C:
-                    continue
-                self.metrics.examined += 1
-                sc = float(self.scores[t])
-                if sc >= f_theta:
-                    extra.offer(sc, t)
+            self._scan(extra, max(a, lo), b, f_theta)
             if extra.size():
                 ms.add(extra)
         ms.add(main)
@@ -476,18 +472,14 @@ class SAP(StreamTopK):
                 # summary already holds every potential skyband object
                 self.metrics.units_skipped += 1
                 continue
-            assert self.scores is not None
             deep = SAVL(self.q.k - front.rho)
-            summary_ts = {t for _, t in lab.summary}
-            lo = max(lab.start, drain_t + 1)
-            for t in range(lab.end - 1, lo - 1, -1):
-                if t in self.C or t in summary_ts:
-                    continue
-                self.metrics.examined += 1
-                sc = float(self.scores[t])
-                if sc < f_theta:
-                    continue
-                deep.offer(sc, t)
+            self._scan(
+                deep,
+                max(lab.start, drain_t + 1),
+                lab.end,
+                f_theta,
+                skip={t for _, t in lab.summary},
+            )
             front.m.add(deep)
             self._report = None
 

@@ -3,13 +3,14 @@
 The paper's contribution is a stateful per-stream operator, so the Spark
 embedding keys the data by ``stream_id`` and runs the sequential SAP
 core inside each group (DESIGN.md §6): one executor task owns one
-stream's state, exactly Spark's keyed-state model. Arrivals are
-processed in micro-batches of ``s`` via the shared
-:class:`~repro.streams.incremental.IncrementalDriver`, i.e. the same
-code path the Structured Streaming operator uses.
+stream's state, exactly Spark's keyed-state model. Each group's sorted
+scores are fed once to the shared
+:class:`~repro.streams.incremental.IncrementalDriver`, the code path the
+Structured Streaming operator feeds chunk by chunk.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.types import (
@@ -21,6 +22,7 @@ from pyspark.sql.types import (
 
 from repro.core.query import TopKQuery
 from repro.streams.incremental import IncrementalDriver
+from repro.streams.runner import make_algorithm
 
 RESULT_SCHEMA = StructType(
     [
@@ -41,24 +43,28 @@ def continuous_topk_operator(
 ) -> DataFrame:
     """All windows' top-k per stream, via the incremental SAP operator.
 
-    Input ``(stream_id, t, score)``; output matches
+    Input ``(stream_id, t, score)``, where each stream's ``t`` is
+    exactly ``0 … L-1`` in some order; output matches
     :func:`repro.spark.topk_sql.continuous_topk_sql` exactly, so the two
-    are directly oracle-comparable.
+    are directly oracle-comparable. A stream whose ``t`` has a gap, a
+    repeat or does not start at 0 raises ``ValueError`` when the query
+    runs; an option ``algo`` does not take raises ``TypeError`` here.
     """
+    make_algorithm(algo, q, **opts)
     n, k, s = q.n, q.k, q.s
 
     def run_group(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("t").reset_index(drop=True)
+        pdf = pdf.sort_values("t")
         sid = int(pdf["stream_id"].iloc[0])
+        if not np.array_equal(pdf["t"].to_numpy(), np.arange(len(pdf))):
+            raise ValueError(
+                f"stream {sid}: t must be exactly 0..{len(pdf) - 1} "
+                "(no gap, no repeat, starting at 0)"
+            )
         drv = IncrementalDriver(algo, TopKQuery(n=n, k=k, s=s), **opts)
-        rows: list[tuple[int, int, int, int, float]] = []
-        scores = pdf["score"].to_numpy()
-        # feed in micro-batches of s to exercise the batch path
-        for off in range(0, len(scores), s):
-            for w, r, t, sc in drv.feed(scores[off : off + s]):
-                rows.append((sid, w, r, t, sc))
         out = pd.DataFrame(
-            rows, columns=["stream_id", "window_id", "rank", "t", "score"]
+            [(sid, *row) for row in drv.feed(pdf["score"].to_numpy())],
+            columns=["stream_id", "window_id", "rank", "t", "score"],
         )
         if out.empty:  # stream shorter than one window
             out = out.astype(

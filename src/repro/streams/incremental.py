@@ -1,16 +1,16 @@
 """Incremental driver: feed a continuous top-k algorithm batch by batch.
 
 The sequential :mod:`repro.streams.runner` drives an algorithm over a
-complete score array; Spark's micro-batch operators instead receive the
-stream in chunks. ``IncrementalDriver`` bridges the two: it buffers
-arrivals, re-attaches the growing buffer to the algorithm (algorithms
-address objects by absolute arrival index, so a grown array is a valid
-re-attachment), and emits every window result that becomes complete.
+complete score array; Spark's operators instead hand the stream over in
+chunks. ``IncrementalDriver`` bridges the two: it extends the
+algorithm's stream with each chunk (``StreamTopK.extend``, which also
+rejects non-finite scores) and emits every window that the chunk
+completes, through the algorithm's one window loop
+(``StreamTopK.windows``).
 
-It is picklable (the score buffer is carried explicitly, the algorithm's
-``scores`` reference is dropped before pickling), which is what lets the
-Structured Streaming operator park it in GroupState between
-micro-batches.
+The algorithm holds the only copy of the stream, so the driver pickles
+as it is; that is what lets the Structured Streaming operator park it in
+GroupState between micro-batches.
 """
 from __future__ import annotations
 
@@ -28,58 +28,33 @@ class IncrementalDriver:
     def __init__(self, algo: str, q: TopKQuery, **opts) -> None:
         self.q = q
         self.algo = make_algorithm(algo, q, **opts)
-        self.buffer = np.empty(0, dtype=np.float64)
         self.next_window = 0
-        self.warmed = False
 
     def feed(self, scores: np.ndarray) -> list[tuple[int, int, int, float]]:
         """Append arrivals (in order); return (window, rank, t, score) rows.
 
         Raises ``ValueError`` when the chunk holds a NaN or ±inf score;
-        nothing of it is buffered, so feeding can go on with clean data.
+        nothing of it is taken, so feeding can go on with clean data.
         """
-        if len(scores):
-            chunk = np.asarray(scores, dtype=np.float64)
-            if not np.isfinite(chunk).all():
-                raise ValueError("scores must be finite (no NaN or ±inf)")
-            self.buffer = np.concatenate([self.buffer, chunk])
+        algo = self.algo
+        algo.extend(scores)
+        j1 = self.q.num_windows(len(algo.scores))
         out: list[tuple[int, int, int, float]] = []
-        q = self.q
-        if not self.warmed:
-            if len(self.buffer) < q.n:
-                return out
-            self.algo.attach(self.buffer)
-            self.algo.warmup()
-            self.warmed = True
-            out.extend(self._emit(0))
-            self.next_window = 1
-        while len(self.buffer) >= q.n + self.next_window * q.s:
-            self.algo.scores = self.buffer  # re-attach grown buffer
-            self.algo.slide(self.next_window)
-            out.extend(self._emit(self.next_window))
+        for ids in algo.windows(self.next_window, j1):
+            algo.metrics.candidate_samples.append(algo.candidate_count())
+            out += [
+                (self.next_window, r + 1, int(t), float(algo.scores[t]))
+                for r, t in enumerate(ids)
+            ]
             self.next_window += 1
         return out
 
-    def _emit(self, j: int) -> list[tuple[int, int, int, float]]:
-        ids = self.algo.topk()
-        self.algo.metrics.candidate_samples.append(
-            self.algo.candidate_count()
-        )
-        return [
-            (j, r + 1, int(t), float(self.buffer[t]))
-            for r, t in enumerate(ids)
-        ]
-
     # -- pickling for GroupState -----------------------------------------
     def dumps(self) -> bytes:
-        """Serialise (drops the algorithm's buffer reference first)."""
-        self.algo.scores = None
+        """Serialise the driver, algorithm state and stream included."""
         return pickle.dumps(self)
 
     @staticmethod
     def loads(blob: bytes) -> "IncrementalDriver":
-        """Deserialise and re-attach the buffer."""
-        drv: IncrementalDriver = pickle.loads(blob)
-        if drv.warmed:
-            drv.algo.scores = drv.buffer
-        return drv
+        """Deserialise a driver written by :meth:`dumps`."""
+        return pickle.loads(blob)

@@ -21,11 +21,12 @@ from repro.core.naive import all_windows_topk
 from repro.core.query import TopKQuery
 from repro.core.sap import SAP
 
-#: algorithm name -> factory(query, **opts)
+#: algorithm name -> factory(query, **opts); an option the algorithm
+#: does not take, a SAP ``mode`` included, raises ``TypeError``
 ALGORITHMS = {
-    "kskyband": lambda q, **o: KSkyband(q),
-    "mintopk": lambda q, **o: MinTopK(q),
-    "sma": lambda q, **o: SMA(q, **o),
+    "kskyband": KSkyband,
+    "mintopk": MinTopK,
+    "sma": SMA,
     "sap-equal": lambda q, **o: SAP(q, mode="equal", **o),
     "sap-dynamic": lambda q, **o: SAP(q, mode="dynamic", **o),
     "sap-enhanced": lambda q, **o: SAP(q, mode="enhanced", **o),
@@ -69,7 +70,7 @@ def run_stream(
 
     Emits one top-k per window position and samples the candidate count
     at every emission. ``wall_time_s`` covers only the algorithm's own
-    calls (``attach``, ``warmup``, ``slide``, ``topk``): data generation,
+    calls (``attach`` and each step of ``windows``): data generation,
     the candidate-count samples and result collection are observation
     and stay outside the clock.
     """
@@ -81,21 +82,16 @@ def run_stream(
         return RunResult("naive", q, m, results if collect_results else [])
 
     algo = make_algorithm(name, q, **opts)
-    n_windows = q.num_windows(len(scores))
     results: list[np.ndarray] = []
     clock = time.perf_counter
     elapsed = 0.0
     t0 = clock()
     algo.attach(scores)
-    algo.warmup()
-    for j in range(n_windows):
-        if j > 0:
-            t0 = clock()
-            algo.slide(j)
-        ids = algo.topk()
+    for ids in algo.windows(0, q.num_windows(len(scores))):
         elapsed += clock() - t0
         algo.metrics.candidate_samples.append(algo.candidate_count())
         if collect_results:
             results.append(np.asarray(ids, dtype=np.int64))
+        t0 = clock()
     algo.metrics.wall_time_s = elapsed
     return RunResult(algo.name, q, algo.metrics, results)

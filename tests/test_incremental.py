@@ -1,11 +1,13 @@
 """Unit tests for the incremental driver (streams/incremental.py)."""
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.query import TopKQuery
 from repro.streams.datasets import gen_stream
 from repro.streams.incremental import IncrementalDriver
-from repro.streams.runner import run_stream
+from repro.streams.runner import ALGORITHMS, run_stream
 
 
 def feed_in_chunks(algo, q, scores, chunk):
@@ -42,8 +44,9 @@ def test_empty_feed_is_noop():
 def test_no_emission_before_first_window():
     q = TopKQuery(n=40, k=4, s=4)
     drv = IncrementalDriver("sap-equal", q)
-    assert drv.feed(gen_stream("TIMEU", 39, seed=0)) == []
-    assert drv.warmed is False
+    scores = gen_stream("TIMEU", 40, seed=0)
+    assert drv.feed(scores[:39]) == []
+    assert drv.feed(scores[39:]) == reference_rows(q, scores)  # window 0
 
 
 def test_pickle_roundtrip_mid_stream():
@@ -96,3 +99,38 @@ def test_pickle_roundtrip_with_warm_report_cache(algo):
             assert drv.algo._report is not None  # the cache is warm
             drv = IncrementalDriver.loads(drv.dumps())
     assert rows == reference_rows(q, scores)
+
+
+@st.composite
+def fed_stream(draw):
+    """A query, a tie-heavy stream, its chunks (some empty) and, per
+    chunk, whether the driver takes a dumps/loads round trip after it."""
+    s = draw(st.integers(min_value=1, max_value=6))
+    n = s * draw(st.integers(min_value=1, max_value=10))
+    k = draw(st.integers(min_value=1, max_value=n))
+    length = n + draw(st.integers(min_value=0, max_value=4 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.integers(0, draw(st.sampled_from([2, 5, 1000])), length)
+    cuts = sorted(draw(st.lists(st.integers(0, length), max_size=8)))
+    bounds = [0, *cuts, length]
+    chunks = [scores[a:b].astype(np.float64) for a, b in zip(bounds, bounds[1:])]
+    trips = draw(st.lists(st.booleans(), min_size=len(chunks), max_size=len(chunks)))
+    return TopKQuery(n=n, k=k, s=s), scores.astype(np.float64), chunks, trips
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=fed_stream())
+def test_any_chunking_and_roundtrips_match_run_stream(algo, case):
+    q, scores, chunks, trips = case
+    drv = IncrementalDriver(algo, q)
+    rows = []
+    for chunk, trip in zip(chunks, trips):
+        rows += drv.feed(chunk)
+        if trip:
+            drv = IncrementalDriver.loads(drv.dumps())
+    assert rows == reference_rows(q, scores)
+    whole = run_stream(algo, scores, q, collect_results=False).metrics.as_row()
+    fed = drv.algo.metrics.as_row()
+    del whole["wall_time_s"], fed["wall_time_s"]
+    assert fed == whole

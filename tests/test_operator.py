@@ -1,4 +1,5 @@
 """SAP micro-batch operator vs the DuckDB oracle (spark/operator.py)."""
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -52,3 +53,30 @@ def test_operator_short_stream(spark):
     pdf = stream_pdf("TIMEU", 50, seed=1)
     out = continuous_topk_operator(spark.createDataFrame(pdf), q)
     assert out.count() == 0
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        np.r_[0:30, 31:61],  # a gap at 30
+        np.r_[0:30, 29:59],  # 29 twice
+        np.arange(5, 65),  # starts at 5
+    ],
+    ids=["gap", "duplicate", "offset"],
+)
+def test_operator_rejects_t_other_than_0_to_len(spark, t):
+    q = TopKQuery(n=20, k=3, s=4)
+    pdf = stream_pdf("STOCK", 60, seed=4, stream_id=7)
+    pdf["t"] = t
+    out = continuous_topk_operator(spark.createDataFrame(pdf), q)
+    with pytest.raises(Exception, match="stream 7: t must be exactly 0..59"):
+        out.collect()
+
+
+def test_operator_rejects_unknown_option(spark):
+    pdf = stream_pdf("STOCK", 60, seed=4)
+    with pytest.raises(TypeError):
+        continuous_topk_operator(
+            spark.createDataFrame(pdf), TopKQuery(n=20, k=3, s=4),
+            algo="kskyband", delay=False,
+        )

@@ -74,3 +74,25 @@ def test_non_finite_scores_rejected_at_attach(algo, bad):
         make_algorithm(algo, q).attach(scores)
     with pytest.raises(ValueError, match="finite"):
         run_stream(algo, scores, q)
+
+
+@pytest.mark.parametrize(
+    "algo, opts",
+    [
+        ("kskyband", {"delay": False}),
+        ("mintopk", {"m": 3}),
+        ("sma", {"use_savl": False}),
+        ("sap-equal", {"mode": "dynamic"}),
+    ],
+)
+def test_unknown_options_rejected(algo, opts):
+    with pytest.raises(TypeError):
+        make_algorithm(algo, TopKQuery(n=40, k=4, s=4), **opts)
+
+
+def test_windows_past_the_extended_arrivals_rejected():
+    q = TopKQuery(n=40, k=4, s=4)
+    algo = make_algorithm("sap-enhanced", q)
+    algo.extend(gen_stream("TIMEU", 47, seed=0))  # windows 0 and 1
+    with pytest.raises(ValueError, match="past the extended arrivals"):
+        list(algo.windows(0, 3))
