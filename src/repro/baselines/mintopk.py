@@ -19,22 +19,22 @@ from __future__ import annotations
 
 import bisect
 
-from repro.core.base import StreamTopK
-from repro.core.candidates import CandidateSet
+from repro.baselines.kskyband import KSkyband
 from repro.core.query import TopKQuery
 
 
-class MinTopK(StreamTopK):
+class MinTopK(KSkyband):
     """Slide-granularity skyband ≡ union of predicted result sets."""
 
     name = "mintopk"
 
     def __init__(self, q: TopKQuery) -> None:
         super().__init__(q)
-        self.cands = CandidateSet()
         self._cur_slide = -1
         self._cur_scores: list[float] = []  # all scores seen this slide
-        # one lbp pointer per predicted window (memory model)
+        # one lbp pointer per predicted window instead of a dominance
+        # counter per candidate (memory model)
+        self.metrics.counter_entries_flag = False
         self.metrics.overhead_pointers = q.m_slides
 
     def _ingest(self, t: int, score: float) -> None:
@@ -55,18 +55,4 @@ class MinTopK(StreamTopK):
         self.metrics.examined += 1
         if dom0 >= self.q.k:
             return  # cannot contribute to any predicted result set
-        below, evicted = self.cands.dominate_below(score, self.q.k)
-        self.metrics.examined += below
-        self.metrics.deletions += evicted
-        self.cands.insert(score, t, dom=dom0)
-        self.metrics.insertions += 1
-
-    def _expire(self, t: int, score: float) -> None:
-        if self.cands.remove(score, t):
-            self.metrics.deletions += 1
-
-    def topk(self) -> list[int]:
-        return [t for _, t in self.cands.top_desc(self.q.k)]
-
-    def candidate_count(self) -> int:
-        return len(self.cands)
+        self._admit(t, score, dom0)

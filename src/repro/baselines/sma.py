@@ -21,12 +21,12 @@ import bisect
 
 import numpy as np
 
-from repro.core.base import StreamTopK
+from repro.baselines.kskyband import KSkyband
 from repro.core.candidates import CandidateSet
 from repro.core.query import TopKQuery
 
 
-class SMA(StreamTopK):
+class SMA(KSkyband):
     """Multi-pass capped-skyband with threshold re-scanning."""
 
     name = "sma"
@@ -34,37 +34,22 @@ class SMA(StreamTopK):
     def __init__(self, q: TopKQuery, kmax: int | None = None) -> None:
         super().__init__(q)
         self.kmax = kmax if kmax is not None else 2 * q.k
-        self.cands = CandidateSet()
         self.theta = float("-inf")
-        self.metrics.counter_entries_flag = True
+
+    def _ingest_range(self, lo: int, hi: int) -> None:
+        super()._ingest_range(lo, hi)
+        # The first window's candidates come from a scan of it. After
+        # that, whenever |C| ≥ k at emission time, every alive object
+        # outside C is either below θ (outscored by the ≥ k alive
+        # candidates) or dominated — so re-scan only if |C| < k once
+        # the slide's arrivals have been absorbed.
+        if lo == 0 or len(self.cands) < self.q.k:
+            self._rescan()
 
     def _ingest(self, t: int, score: float) -> None:
         self.metrics.examined += 1
-        if score < self.theta:
-            return  # below threshold: discarded, grid would not index it
-        below, evicted = self.cands.dominate_below(score, self.q.k)
-        self.metrics.examined += below
-        self.metrics.deletions += evicted
-        self.cands.insert(score, t)
-        self.metrics.insertions += 1
-
-    def _expire(self, t: int, score: float) -> None:
-        if self.cands.remove(score, t):
-            self.metrics.deletions += 1
-
-    def slide(self, j: int) -> None:  # noqa: D102 — re-scans on underflow
-        super().slide(j)
-        # Correctness invariant: whenever |C| ≥ k at emission time, every
-        # alive object outside C is either below θ (outscored by the ≥ k
-        # alive candidates) or dominated — so re-scan only if |C| < k
-        # once the slide's arrivals have been absorbed.
-        if len(self.cands) < self.q.k:
-            self._rescan()
-
-    def warmup(self) -> None:  # noqa: D102 — builds initial candidates
-        super().warmup()
-        # initial construction is a scan of the first window
-        self._rescan()
+        if score >= self.theta:  # below θ the grid would not index it
+            self._admit(t, score)
 
     def _rescan(self) -> None:
         """Rebuild C = top-k_max skyband of the live window; reset θ."""
@@ -93,9 +78,3 @@ class SMA(StreamTopK):
         # grid emulation: cells above θ ≈ kept objects + k cell slop
         self.metrics.rescan_examined += examined + self.q.k
         self.metrics.insertions += len(c)
-
-    def topk(self) -> list[int]:
-        return [t for _, t in self.cands.top_desc(self.q.k)]
-
-    def candidate_count(self) -> int:
-        return len(self.cands)

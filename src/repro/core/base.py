@@ -26,12 +26,13 @@ interchangeably:
 * ``candidate_count()`` — current size of the candidate structures
   (``|C ∪ M_0|`` for SAP), sampled once per emitted window.
 
-Subclasses implement one hook of each pair. Both ``warmup`` and
-``slide`` hand their arrivals over as one range, ``_ingest_range(lo,
-hi)``, and ``slide`` hands its expiries over as one range too,
-``_expire_range(lo, hi)``. The defaults feed ``_ingest(t, score)`` and
-``_expire(t, score)`` one object at a time, which is what the baselines
-use. SAP overrides both range hooks instead and works per slide.
+Subclasses implement two hooks. Both ``warmup`` and ``slide`` hand
+their arrivals over as one range, ``_ingest_range(lo, hi)``, and
+``slide`` hands its expiries over as one range too, ``_expire_range(lo,
+hi)``. ``window_start`` and ``window_end`` already describe the new
+window when ``_ingest_range`` runs. SAP works a slide at a time; the
+baselines share ``KSkyband``'s per-object loops and differ only in the
+arrivals they admit.
 """
 from __future__ import annotations
 
@@ -90,8 +91,8 @@ class StreamTopK(ABC):
 
     def warmup(self) -> None:
         """Ingest objects t = 0..n-1 (window 0 becomes available)."""
-        self._ingest_range(0, self.q.n)
         self.window_end = self.q.n
+        self._ingest_range(0, self.q.n)
 
     def slide(self, j: int) -> None:
         """Advance from window ``j-1`` to window ``j``."""
@@ -99,29 +100,17 @@ class StreamTopK(ABC):
         q = self.q
         self._expire_range((j - 1) * q.s, j * q.s)
         self.window_start = j * q.s
-        self._ingest_range(q.n + (j - 1) * q.s, q.n + j * q.s)
         self.window_end = q.n + j * q.s
+        self._ingest_range(q.n + (j - 1) * q.s, self.window_end)
 
     # -- hooks -----------------------------------------------------------
+    @abstractmethod
     def _ingest_range(self, lo: int, hi: int) -> None:
         """Process the arrivals ``t ∈ [lo, hi)`` in arrival order."""
-        scores = self.scores
-        for t in range(lo, hi):
-            self._ingest(t, float(scores[t]))
 
-    def _ingest(self, t: int, score: float) -> None:
-        """Process one arriving object (the default ``_ingest_range``'s step)."""
-        raise NotImplementedError
-
+    @abstractmethod
     def _expire_range(self, lo: int, hi: int) -> None:
         """Process the expiries ``t ∈ [lo, hi)``, oldest first."""
-        scores = self.scores
-        for t in range(lo, hi):
-            self._expire(t, float(scores[t]))
-
-    def _expire(self, t: int, score: float) -> None:
-        """Process one expiring object (the default ``_expire_range``'s step)."""
-        raise NotImplementedError
 
     @abstractmethod
     def topk(self) -> list[int]:

@@ -92,6 +92,9 @@ class SAP(StreamTopK):
         super().__init__(q)
         if mode not in ("equal", "dynamic", "enhanced"):
             raise ValueError(f"unknown SAP mode {mode!r}")
+        if m is not None and mode != "equal":
+            # as for any option an algorithm does not take (runner.ALGORITHMS)
+            raise TypeError(f"sap-{mode} takes no option 'm'")
         self.mode = mode
         self.use_savl = use_savl
         self.delay = delay
@@ -492,14 +495,11 @@ class SAP(StreamTopK):
         enters the rear's top-k, the front's M set is formed, grows or
         leaves with the front, or a reported object expires.
         """
-        front = self.sealed[0] if self.sealed else None
-        m = front.m if front is not None else None
-        # peek_max also drops expired S-AVL tops, which candidate_count()
-        # would otherwise still count
-        head = m.peek_max(self.window_start) if m is not None else None
         if self._report is None:
             k = self.q.k
             merged = sorted(self.C.top_desc(k) + self.rear.topk, reverse=True)[:k]
+            m = self.sealed[0].m if self.sealed else None
+            head = m.peek_max(self.window_start) if m is not None else None
             if head is not None and (len(merged) < k or head > merged[-1]):
                 # rare: a meaningful object enters the top-k
                 merged += islice(m.iter_desc(self.window_start), k)
@@ -509,6 +509,10 @@ class SAP(StreamTopK):
         return list(self._report)
 
     def candidate_count(self) -> int:
-        front = self.sealed[0] if self.sealed else None
-        m_size = front.m.size() if front is not None and front.m else 0
-        return len(self.C) + m_size + len(self.rear.topk)
+        count = len(self.C) + len(self.rear.topk)
+        m = self.sealed[0].m if self.sealed else None
+        if m is not None:
+            # drop expired S-AVL tops first so that they are not counted
+            m.peek_max(self.window_start)
+            count += m.size()
+        return count

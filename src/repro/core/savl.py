@@ -40,8 +40,6 @@ class SAVL:
         self.max_stacks = max_stacks
         # each stack is a list, index -1 = top (oldest, highest score)
         self.stacks: list[list[tuple[float, int]]] = []
-        self.offered = 0
-        self.pruned = 0
 
     def offer(self, score: float, t: int) -> bool:
         """Offer an object during reverse-arrival-order construction.
@@ -49,7 +47,6 @@ class SAVL:
         Returns True when stored, False when pruned. Callers must offer
         objects in strictly decreasing ``t`` (newest first).
         """
-        self.offered += 1
         best_i = -1
         best_top = float("-inf")
         for i, st in enumerate(self.stacks):
@@ -62,7 +59,6 @@ class SAVL:
         if len(self.stacks) < self.max_stacks:
             self.stacks.append([(score, t)])
             return True
-        self.pruned += 1
         return False
 
     def _drop_expired_tops(self, min_t: int) -> None:

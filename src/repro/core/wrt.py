@@ -62,22 +62,12 @@ def rank_sum(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
     """
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
-    merged = np.concatenate([a, b])
-    order = np.argsort(merged, kind="mergesort")
-    ranks = np.empty(len(merged), dtype=np.float64)
-    ranks[order] = np.arange(1, len(merged) + 1, dtype=np.float64)
-    # average ranks for ties
-    sorted_vals = merged[order]
-    i = 0
-    while i < len(sorted_vals):
-        j = i
-        while j + 1 < len(sorted_vals) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            avg = (ranks[order[i]] + ranks[order[j]]) / 2.0
-            ranks[order[i : j + 1]] = avg
-        i = j + 1
-    return float(ranks[: len(a)].sum())
+    merged = np.sort(np.concatenate([a, b]))
+    # the values tied with x hold ranks below+1 … through; their average
+    # is (below + through + 1) / 2
+    below = np.searchsorted(merged, a, side="left")
+    through = np.searchsorted(merged, a, side="right")
+    return float((below + through + 1).sum() / 2.0)
 
 
 def evaluation(topk_scores: np.ndarray, interval_scores: np.ndarray) -> float:

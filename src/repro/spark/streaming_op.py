@@ -25,28 +25,13 @@ from collections.abc import Iterable, Iterator
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
-from pyspark.sql.types import (
-    BinaryType,
-    DoubleType,
-    LongType,
-    StructField,
-    StructType,
-)
+from pyspark.sql.types import BinaryType, StructField, StructType
 
 from repro.core.query import TopKQuery
+from repro.spark.operator import RESULT_SCHEMA
 from repro.streams.incremental import IncrementalDriver
 
 STATE_SCHEMA = StructType([StructField("blob", BinaryType())])
-
-OUTPUT_SCHEMA = StructType(
-    [
-        StructField("stream_id", LongType()),
-        StructField("window_id", LongType()),
-        StructField("rank", LongType()),
-        StructField("t", LongType()),
-        StructField("score", DoubleType()),
-    ]
-)
 
 
 #: staging state of a stream no row has reached yet
@@ -98,7 +83,7 @@ def _make_func(q: TopKQuery, algo: str, opts: dict):
         if state.exists:
             (blob,) = state.get
             stage = pickle.loads(bytes(blob))
-            drv = IncrementalDriver.loads(stage.pop("drv"))
+            drv = stage.pop("drv")
         else:
             drv = IncrementalDriver(algo, q, **opts)
             stage = EMPTY_STAGE
@@ -111,7 +96,7 @@ def _make_func(q: TopKQuery, algo: str, opts: dict):
             ),
         )
         rows = drv.feed(pd.Series(chunk, dtype="float64").to_numpy())
-        state.update((pickle.dumps({"drv": drv.dumps(), **stage}),))
+        state.update((pickle.dumps({"drv": drv, **stage}),))
         if rows:
             yield pd.DataFrame(
                 [(sid, w, r, t, sc) for (w, r, t, sc) in rows],
@@ -135,7 +120,7 @@ def continuous_topk_streaming(
     """
     return stream_df.groupBy("stream_id").applyInPandasWithState(
         _make_func(q, algo, opts),
-        outputStructType=OUTPUT_SCHEMA,
+        outputStructType=RESULT_SCHEMA,
         stateStructType=STATE_SCHEMA,
         outputMode="append",
         timeoutConf=GroupStateTimeout.NoTimeout,

@@ -72,12 +72,20 @@ def windowed_topk_oracle_sql(q: TopKQuery, table: str = "stream") -> str:
 
     Used with ``repro.oracle.assert_equivalent`` — identical aliases and
     tie-break as :func:`continuous_topk_sql` and the sequential runner.
+    A NaN, ±inf or NULL score fails the query with the same message.
     """
     n, k, s = q.n, q.k, q.s
     return f"""
-        WITH bounds AS (
+        WITH checked AS (
+            SELECT stream_id, t,
+                   CASE WHEN score IS NULL OR NOT isfinite(score)
+                        THEN error('scores must be finite (no NaN or ±inf)')
+                        ELSE score END AS score
+            FROM {table}
+        ),
+        bounds AS (
             SELECT stream_id, CAST(FLOOR((MAX(t) + 1 - {n}) / {s}) AS BIGINT) AS jmax
-            FROM {table} GROUP BY stream_id
+            FROM checked GROUP BY stream_id
         ),
         wins AS (
             SELECT b.stream_id, gs.j AS window_id
@@ -88,7 +96,7 @@ def windowed_topk_oracle_sql(q: TopKQuery, table: str = "stream") -> str:
         ),
         member AS (
             SELECT w.stream_id, w.window_id, st.t, st.score
-            FROM wins w JOIN {table} st
+            FROM wins w JOIN checked st
               ON st.stream_id = w.stream_id
              AND st.t >= w.window_id * {s}
              AND st.t <  w.window_id * {s} + {n}

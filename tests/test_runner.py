@@ -83,6 +83,8 @@ def test_non_finite_scores_rejected_at_attach(algo, bad):
         ("mintopk", {"m": 3}),
         ("sma", {"use_savl": False}),
         ("sap-equal", {"mode": "dynamic"}),
+        ("sap-dynamic", {"m": 3}),
+        ("sap-enhanced", {"m": 3}),
     ],
 )
 def test_unknown_options_rejected(algo, opts):

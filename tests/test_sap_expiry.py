@@ -1,7 +1,7 @@
 """SAP's one-pass slide expiry against the object-by-object drain.
 
 ``PerObjectSAP`` keeps SAP's per-object ``_expire`` from before slides
-were expired in one pass, driven by the base class's per-object loop.
+were expired in one pass, driven by its own per-object loop.
 Both must emit the same windows, hold the same candidates after every
 slide and count the same operations.
 """
@@ -10,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import StreamTopK
 from repro.core.candidates import CandidateSet
 from repro.core.query import TopKQuery
 from repro.core.sap import SAP
@@ -20,7 +19,9 @@ from repro.streams.datasets import gen_stream
 class PerObjectSAP(SAP):
     """SAP expiring one object at a time (the reference)."""
 
-    _expire_range = StreamTopK._expire_range
+    def _expire_range(self, lo: int, hi: int) -> None:
+        for t in range(lo, hi):
+            self._expire(t, float(self.scores[t]))
 
     def _expire(self, t: int, score: float) -> None:
         front = self.sealed[0] if self.sealed else None

@@ -1,4 +1,5 @@
 """Catalyst windowed top-k vs the DuckDB oracle (spark/topk_sql.py)."""
+import duckdb
 import pandas as pd
 import pytest
 from pyspark.errors import SparkRuntimeException
@@ -75,3 +76,19 @@ def test_catalyst_rejects_pandas_nan(spark):
     out = continuous_topk_sql(spark.createDataFrame(pdf), q)
     with pytest.raises(SparkRuntimeException, match="scores must be finite"):
         out.collect()
+
+
+@pytest.mark.parametrize("bad", ["'nan'", "'inf'", "'-inf'", "NULL"])
+def test_duckdb_oracle_rejects_non_finite_scores(bad):
+    q = TopKQuery(n=40, k=4, s=4)
+    # t = 10 lies in windows; t = 121 only in the tail after the last one
+    for pos in (10, 121):
+        con = duckdb.connect()
+        con.register("raw", stream_pdf("TIMEU", 123, seed=1))
+        con.execute(
+            "CREATE VIEW stream AS SELECT stream_id, t, CASE WHEN t = "
+            f"{pos} THEN {bad}::DOUBLE ELSE score END AS score FROM raw"
+        )
+        with pytest.raises(duckdb.InvalidInputException, match="scores must be finite"):
+            con.execute(windowed_topk_oracle_sql(q)).fetchall()
+        con.close()

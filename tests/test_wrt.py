@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.wrt import (
     eta,
@@ -44,6 +46,21 @@ def test_rank_sum_with_ties_average():
     b = np.array([2.0])
     # both tied at ranks {1,2} → average 1.5 each
     assert rank_sum(a, b) == 1.5
+
+
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=12),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=12),
+)
+def test_rank_sum_matches_brute_force_average_ranks(a, b):
+    # O(n²) reference: a value's average rank is 1 + (#smaller) plus half
+    # of the other values equal to it; small integers force many ties
+    merged = a + b
+    expected = sum(
+        1 + sum(y < x for y in merged) + (sum(y == x for y in merged) - 1) / 2
+        for x in a
+    )
+    assert rank_sum(np.array(a, float), np.array(b, float)) == expected
 
 
 def test_rank_sum_total_is_constant():
