@@ -19,8 +19,9 @@ interchangeably:
   windows ``j0 … j1-1`` in turn, stepping with ``warmup()`` for window 0
   and ``slide(j)`` after.
 * ``warmup()`` — ingest the first ``n`` objects (t = 0..n-1).
-* ``slide(j)`` — advance to window ``j`` (j ≥ 1): expire the objects
-  ``t ∈ [(j-1)s, js)``, then ingest ``t ∈ [n+(j-1)s, n+js)``.
+* ``slide(j)`` — advance to window ``j``, the one after the current
+  window (else ``ValueError``, also before ``warmup()``): expire the
+  objects ``t ∈ [(j-1)s, js)``, then ingest ``t ∈ [n+(j-1)s, n+js)``.
 * ``topk()`` — the current window's top-k arrival indices, best-first
   under the shared tie-break (score desc, t desc).
 * ``candidate_count()`` — current size of the candidate structures
@@ -95,9 +96,17 @@ class StreamTopK(ABC):
         self._ingest_range(0, self.q.n)
 
     def slide(self, j: int) -> None:
-        """Advance from window ``j-1`` to window ``j``."""
-        assert j >= 1
+        """Advance from window ``j-1`` to window ``j``.
+
+        Raises ``ValueError`` unless window ``j-1`` is the current one
+        (``warmup()`` makes window 0 current).
+        """
         q = self.q
+        if j < 1 or self.window_end != q.n + (j - 1) * q.s:
+            raise ValueError(
+                f"slide({j}) does not step to the next window: call warmup(), "
+                "then slide(1), slide(2), …"
+            )
         self._expire_range((j - 1) * q.s, j * q.s)
         self.window_start = j * q.s
         self.window_end = q.n + j * q.s

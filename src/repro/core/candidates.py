@@ -32,11 +32,6 @@ class CandidateSet:
     def __contains__(self, t: int) -> bool:
         return t in self._dom
 
-    def members_in(self, lo: int, hi: int) -> list[int]:
-        """Arrival indices ``t ∈ [lo, hi)`` held in the set, ascending."""
-        dom = self._dom
-        return [t for t in range(lo, hi) if t in dom]
-
     def insert(self, score: float, t: int, dom: int = 0) -> None:
         """Insert one candidate with dominance counter ``dom``."""
         bisect.insort(self._entries, (score, t))
@@ -80,29 +75,37 @@ class CandidateSet:
         Every new entry is newer than every existing entry, so an
         existing entry is dominated once per higher-scoring new entry.
         Entries whose counter reaches k are refined away in the same
-        scan. Returns ``(inserted, refined_away)``.
+        scan. Only the band between the new k-th and best scores is
+        counted one by one: entries at or above the best gain nothing,
+        and when k entries are merged, every entry below the k-th reaches
+        k and goes in one slice. Returns ``(inserted, refined_away)``.
         """
         if not new_desc:
             return (0, 0)
-        new_scores_asc = sorted(sc for sc, _ in new_desc)
-        survivors: list[tuple[float, int]] = []
-        refined = 0
-        n_new = len(new_scores_asc)
-        for sc, t in self._entries:
+        entries, dom = self._entries, self._dom
+        n_new = len(new_desc)
+        top = bisect.bisect_left(entries, (new_desc[0][0],))
+        low = bisect.bisect_left(entries, (new_desc[-1][0],)) if n_new >= k else 0
+        for _, t in entries[:low]:
+            del dom[t]
+        refined = low
+        new_scores_asc = [sc for sc, _ in reversed(new_desc)]
+        kept: list[tuple[float, int]] = []
+        for sc, t in entries[low:top]:
             # new entries strictly above sc dominate this entry
-            added = n_new - bisect.bisect_right(new_scores_asc, sc)
-            if added:
-                d = self._dom[t] + added
-                if d >= k:
-                    del self._dom[t]
-                    refined += 1
-                    continue
-                self._dom[t] = d
-            survivors.append((sc, t))
-        for sc, t in new_desc:
-            bisect.insort(survivors, (sc, t))
-            self._dom[t] = 0
-        self._entries = survivors
+            d = dom[t] + n_new - bisect.bisect_right(new_scores_asc, sc)
+            if d >= k:
+                del dom[t]
+                refined += 1
+            else:
+                dom[t] = d
+                kept.append((sc, t))
+        for _, t in new_desc:
+            dom[t] = 0
+        kept += entries[top:]
+        kept += reversed(new_desc)
+        kept.sort()  # two sorted runs
+        self._entries = kept
         return (n_new, refined)
 
     def iter_desc(self) -> Iterator[tuple[float, int]]:

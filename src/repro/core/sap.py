@@ -32,6 +32,14 @@ Two Table-2 ablation switches:
 Correctness shape: the reported top-k is computed over
 ``C ∪ M_0 ∪ P_rear^k`` (Algorithm 1 line 6), so promotions from the
 S-AVL are an optimisation, never a correctness dependency.
+
+Cost shape: a slide's cost follows the events in it, not its ``s``
+objects (§3). Each of the two hooks keeps a horizon — the next arrival
+that can enter the rear's top-k or reach a boundary, and the next C
+member, reported object, deep-scan horizon or front end to expire — and
+returns at once on a slide that ends before it. TBUI labels each unit
+whole when the unit ends, and a split reads both halves' top-k without
+per-unit lists.
 """
 from __future__ import annotations
 
@@ -56,7 +64,8 @@ class SAPPartition:
     """One sub-window: arrival range, top-k list, optional M set."""
 
     __slots__ = (
-        "start", "end", "topk", "labels", "m", "rho", "prepared", "deep_idx"
+        "start", "end", "topk", "labels", "m", "rho", "prepared", "deep_idx",
+        "cand_ts",
     )
 
     def __init__(self, start: int) -> None:
@@ -68,6 +77,9 @@ class SAPPartition:
         self.rho: int | None = None
         self.prepared = False  # front-readiness (ρ computed, M formed)
         self.deep_idx = 0  # next label to consider for UBSA deep scan
+        # t of its C members, ascending; a t that has left C since is
+        # skipped when read (see SAP._expire_range)
+        self.cand_ts: list[int] = []
 
     def topk_desc(self) -> list[tuple[float, int]]:
         """Top-k entries, best first."""
@@ -102,15 +114,18 @@ class SAP(StreamTopK):
         self.C = CandidateSet()
         self.sealed: deque[SAPPartition] = deque()
         self.rear = SAPPartition(0)
-        # per-unit top-k lists of the rear (dynamic modes): lets a split
-        # derive both halves' top-k by merging k-lists instead of
-        # re-scanning raw scores
-        self._unit_topks: list[list[tuple[float, int]]] = []
-        self._cur_unit_topk: list[tuple[float, int]] = []
+        # the rear's top-k when its newest unit began: the older half's
+        # top-k when a split cuts that unit off (dynamic modes)
+        self._unit_start_topk: list[tuple[float, int]] = []
         # the last reported top-k ids (None once it may be stale) and
         # their oldest t; see topk()
         self._report: list[int] | None = None
         self._report_min_t = -1
+        # a slide ending at or before one of these has nothing to do in
+        # that hook; see _ingest_range and _expire_range
+        self._quiet_ingest = 0
+        self._entered_until = -1  # hi of the last slide an arrival entered in
+        self._quiet_expiry = 0
         if mode == "equal":
             self.part_size = equal_partition_size(q, m)
             self.u_len = self.part_size
@@ -129,52 +144,78 @@ class SAP(StreamTopK):
     def _ingest_range(self, lo: int, hi: int) -> None:
         """Ingest arrivals ``[lo, hi)``, one run between boundaries at a time.
 
-        Per-object work only acts at a unit boundary, at the hard cap
-        ``n`` and (equal mode) at the partition size. Every stretch in
-        between is one run: TBUI takes it whole, and its entries at or
-        above the current k-th floor are merged into the unit's and the
-        rear's top-k with one sort each. All of these points are
-        multiples of ``s`` past a partition start, so a slide is always
-        a single run.
+        Work is done only at a unit boundary, at the hard cap ``n``,
+        (equal mode) at the partition size, at a TBUI unit end and at an
+        arrival that enters the rear's top-k. After each call that did
+        work, one numpy scan finds the next such arrival; a later call
+        that ends at or before it (``_quiet_ingest``) returns at once.
+        The scan stops short of the next boundary and unit end, and at
+        the arrivals extended so far.
+
+        Every stretch between boundaries is one run: its entries at or
+        above the rear's k-th score are merged into the rear's top-k with
+        one sort, and TBUI labels each unit that ends in it whole. All
+        boundaries are multiples of ``s`` past a partition start, so a
+        slide is always a single run.
         """
-        k = self.q.k
-        equal = self.mode == "equal"
+        if hi <= self._quiet_ingest:
+            return
+        k, u = self.q.k, self.u_len
+        streak = lo == self._entered_until
+        self._entered_until = -1
         while lo < hi:
-            rear = self.rear
-            if equal:
-                stop = rear.start + self.part_size
-            else:
-                stop = min(
-                    rear.start + self.q.n,
-                    lo + self.u_len - (lo - rear.start) % self.u_len,
-                )
+            stop = self._next_boundary(lo)
             end = min(hi, stop)
-            run = self.scores[lo:end].tolist()
-            if self.tbui is not None:
-                self.tbui.ingest_run(lo, run)
-            top = rear.topk
+            top = self.rear.topk
             floor = top[0][0] if len(top) == k else -math.inf
-            if equal:
-                unit, low = None, floor
-            else:
-                # the unit's k-th never beats the rear's: sieve by it
-                unit = self._cur_unit_topk
-                low = unit[0][0] if len(unit) == k else -math.inf
-            if max(run) >= low:
-                new = [(sc, t) for t, sc in enumerate(run, lo) if sc >= low]
-                if unit is not None:
-                    unit += new
-                    unit.sort()
-                    del unit[:-k]
-                    new = [e for e in new if e[0] >= floor]
-                if new:
-                    top += new
-                    top.sort()
-                    del top[:-k]
-                    self._report = None
+            run = self.scores[lo:end].tolist()
+            if max(run) >= floor:
+                top += [(sc, t) for t, sc in enumerate(run, lo) if sc >= floor]
+                top.sort()
+                del top[:-k]
+                self._report = None
+                self._entered_until = hi
+            if self.tbui is not None:
+                for b in range((lo // u + 1) * u, end + 1, u):
+                    self.tbui.ingest_run(b - u, self.scores[b - u : b])
             lo = end
             if end == stop:
                 self._at_boundary(end)
+        if streak and self._entered_until == hi:
+            # arrivals entered in this slide and the one before: the next
+            # one is likely to take some too, and a scan would cost more
+            # than its plain pass
+            self._quiet_ingest = hi
+        else:
+            self._quiet_ingest = self._next_ingest_event(hi)
+
+    def _next_boundary(self, lo: int) -> int:
+        """The first point after ``lo`` where the rear is sealed or grows a unit."""
+        rear = self.rear
+        if self.mode == "equal":
+            return rear.start + self.part_size
+        return min(
+            rear.start + self.q.n,
+            lo + self.u_len - (lo - rear.start) % self.u_len,
+        )
+
+    def _next_ingest_event(self, hi: int) -> int:
+        """``_quiet_ingest`` after a call that did work up to ``hi``.
+
+        A later call that ends at or before it has nothing to do: it is
+        the first later arrival at or above the rear's k-th score, one
+        before the next boundary or TBUI unit end, or the end of the
+        arrivals extended so far, whichever comes first.
+        """
+        cap = min(self._next_boundary(hi) - 1, len(self.scores))
+        if self.tbui is not None:
+            cap = min(cap, (hi // self.u_len + 1) * self.u_len - 1)
+        top, seg = self.rear.topk, self.scores[hi:cap]
+        if len(top) < self.q.k or not len(seg):
+            return hi  # every arrival enters the rear's top-k, or none is here
+        above = seg >= top[0][0]
+        i = int(above.argmax())
+        return hi + i if above[i] else cap
 
     def _at_boundary(self, end: int) -> None:
         """Seal, split or grow the rear once it holds ``[start, end)``."""
@@ -185,11 +226,10 @@ class SAP(StreamTopK):
             # to expire, so it must be sealed now.
             self._seal(end)
             return
-        self._unit_topks.append(self._cur_unit_topk)
-        self._cur_unit_topk = []
         units = size // self.u_len
         if units >= 2 and (units > self.max_units or self._wrt_improper(end)):
             self._split_seal(end)
+        self._unit_start_topk = list(self.rear.topk)
 
     def _wrt_improper(self, end: int) -> bool:
         """WRT evaluation F(P'_m^k, I_ηk) at a unit boundary (§4.2).
@@ -199,7 +239,7 @@ class SAP(StreamTopK):
         [t0−n+|Pm|, t0)") rather than re-scanning raw scores. ``end`` is
         one past the rear's newest arrival.
         """
-        rear_topk = np.array([sc for sc, _ in self.rear.topk])
+        rear_topk = [sc for sc, _ in self.rear.topk]
         if len(rear_topk) < self.q.k:
             return False  # not enough evidence: keep growing
         lookback = self.q.n - (end - self.rear.start)
@@ -215,35 +255,43 @@ class SAP(StreamTopK):
         self.metrics.examined += visited + self.q.k
         if len(top_eta) < self.eta_k:
             return False  # not enough evidence: keep growing
-        return partition_improper(rear_topk, np.array(top_eta))
+        return partition_improper(rear_topk, top_eta)
 
     def _seal(self, end: int) -> None:
         """Finalize the whole rear partition and open a fresh one."""
         self.rear.end = end
         self._finalize(self.rear)
         self.rear = SAPPartition(end)
-        self._unit_topks = []
-        self._cur_unit_topk = []
 
     def _split_seal(self, end: int) -> None:
         """Finalize the rear minus its last unit; the unit starts anew.
 
-        Both halves' top-k are derived by merging the per-unit top-k
-        lists (any partition top-k member is its own unit's top-k), so
-        the split costs O(units·k), not a raw re-scan.
+        The older half's top-k is the rear's top-k as it stood when the
+        last unit began; the unit's own top-k is read off TBUI's summary
+        of a k-unit, or else selected from its scores.
         """
         split = end - self.u_len
         sealed = SAPPartition(self.rear.start)
         sealed.end = split
-        older = [e for lst in self._unit_topks[:-1] for e in lst]
-        older.sort()
-        sealed.topk = older[-self.q.k :]
-        self.metrics.examined += len(older)
+        sealed.topk = self._unit_start_topk
+        # as merging the older units' top-k lists would examine
+        self.metrics.examined += (split - self.rear.start) // self.u_len * self.q.k
         self._finalize(sealed)
         fresh = SAPPartition(split)
-        fresh.topk = list(self._unit_topks[-1])
+        fresh.topk = self._unit_topk(split, end)
         self.rear = fresh
-        self._unit_topks = [self._unit_topks[-1]]
+
+    def _unit_topk(self, lo: int, hi: int) -> list[tuple[float, int]]:
+        """Exact top-k of the unit ``[lo, hi)``, ascending."""
+        if self.tbui is not None and self.tbui.labels:
+            last = self.tbui.labels[-1]
+            if last.kind == "k" and (last.start, last.end) == (lo, hi):
+                # a k-unit's summary is its top-k (its U^τ holds ≥ k objects)
+                return last.summary[::-1]
+        seg = self.scores[lo:hi]
+        cut = len(seg) - self.q.k
+        idx = np.flatnonzero(seg >= np.partition(seg, cut)[cut])
+        return sorted(zip(seg[idx].tolist(), (idx + lo).tolist()))[-self.q.k :]
 
     def _finalize(self, part: SAPPartition) -> None:
         """Seal bookkeeping: merge P^k into C (+ eager M when non-delay)."""
@@ -256,6 +304,7 @@ class SAP(StreamTopK):
         self.metrics.deletions += refined
         self.metrics.examined += len(self.C)
         self.metrics.partitions_sealed += 1
+        part.cand_ts = sorted(t for _, t in part.topk)
         self.sealed.append(part)
         if not self.delay:
             # non-delay strawman: eager M with ρ=0 and no global bound
@@ -273,7 +322,16 @@ class SAP(StreamTopK):
         horizons, in ``t`` order and with a removal before a deep scan at
         the same ``t``, as an object-by-object drain orders them. A
         promoted object that expires later in the slide joins the queue.
+
+        A slide that ends at or before ``_quiet_expiry`` returns at once.
+        That horizon is the first of: the front's last object, its oldest
+        C member, the report's oldest object and the next deep-scan
+        horizon. It is 0 until a new front is readied, is set after each
+        slide that did work, and drops to the oldest reported object at
+        each report recomputed in between (see ``topk``).
         """
+        if hi <= self._quiet_expiry:
+            return
         front = self.sealed[0]
         if not front.prepared:
             self._ready_front(front)
@@ -283,7 +341,10 @@ class SAP(StreamTopK):
             # anyway; this also covers one still held in M_0.
             self._report = None
         C, m, scores = self.C, front.m, self.scores
-        gone = C.members_in(lo, hi)  # ascending, so already a heap
+        ts = front.cand_ts
+        i = bisect.bisect_left(ts, hi)
+        gone = [t for t in ts[:i] if t in C]  # ascending, so already a heap
+        del ts[:i]
         # only a UBSA-built M holds k-unit summaries; the exact skyband of
         # use_savl=False already covers every unit
         labels = (
@@ -312,11 +373,25 @@ class SAP(StreamTopK):
                     self.metrics.insertions += 1
                     if promoted[1] < hi:
                         heapq.heappush(gone, promoted[1])
+                    else:
+                        j = bisect.bisect_left(ts, promoted[1])
+                        if j == len(ts) or ts[j] != promoted[1]:
+                            ts.insert(j, promoted[1])
         if hi == front.end:
             self.sealed.popleft()
             self._report = None
             if self.tbui is not None:
                 self.tbui.drop_before(hi)
+            self._quiet_expiry = 0
+            return
+        while ts and ts[0] not in C:
+            del ts[0]
+        quiet = min(front.end - 1, ts[0]) if ts else front.end - 1
+        if self._report is not None:
+            quiet = min(quiet, self._report_min_t)
+        if labels and front.deep_idx < len(labels):
+            quiet = min(quiet, labels[front.deep_idx].start - self.u_len)
+        self._quiet_expiry = quiet
 
     def _ready_front(self, front: SAPPartition) -> None:
         """Compute ρ and (maybe) form M for the partition now at the front.
@@ -506,6 +581,7 @@ class SAP(StreamTopK):
                 merged = sorted(merged, reverse=True)[:k]
             self._report = [t for _, t in merged]
             self._report_min_t = min(self._report)
+            self._quiet_expiry = min(self._quiet_expiry, self._report_min_t)
         return list(self._report)
 
     def candidate_count(self) -> int:

@@ -24,10 +24,18 @@ demote it (Algorithm 2 leaves this implicit); (b) the unit that *ends*
 a downtrend is labelled non-k (so UBSA scans it in phase 1 under the Fθ
 guard) instead of carrying Algorithm 2's ambiguous ``U^τ_v`` summary —
 labels only steer cost, and this keeps the tracker O(1) per object.
+
+SAP feeds each unit whole once its last object has arrived: the
+above-τ objects are found with one numpy pass, and each τ raise
+re-filters only the ones the last pass kept. The objects a τ raise sorts
+are charged as examined when the unit completes, so a unit the stream
+ends inside charges nothing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .metrics import Metrics
 from .wrt import zeta_max, zeta_star
@@ -65,56 +73,78 @@ class TBUITracker:
         self.tau = float("-inf")
         self.flag = True  # True while τ initialisation is in progress
         self.u_tau: list[tuple[float, int]] = []  # current unit's above-τ
+        self.raised = 0  # entries the current unit's τ raises examined
         self.unit_max: tuple[float, int] = (float("-inf"), -1)
         self.unit_count = 0
         self.unit_start = 0
         self.labels: list[UnitLabel] = []
 
     def _raise_tau(self) -> None:
-        """Median-search: τ ← ζ*-th highest of U^τ, keep entries above."""
+        """Median-search: τ ← ζ*-th highest of U^τ, keep entries above.
+
+        The entries sorted are charged as examined when the unit
+        completes, so a unit still arriving has charged nothing.
+        """
         self.u_tau.sort(reverse=True)
-        self.metrics.examined += len(self.u_tau)
+        self.raised += len(self.u_tau)
         self.tau = self.u_tau[self.zs - 1][0]
         del self.u_tau[self.zs :]
 
-    def ingest_run(self, lo: int, run: list[float]) -> None:
+    def ingest_run(self, lo: int, run: np.ndarray | list[float]) -> None:
         """Process arrivals ``t = lo, lo+1, …`` scoring ``run``.
 
         Algorithm 2 lines 3–9, one piece at a time: the run is cut at unit
-        ends. Per piece, the unit maximum is taken once, and objects below
-        τ at the piece's start are skipped: τ only rises within a unit, so
-        they would stay below it.
+        ends. SAP hands each unit over whole once it has arrived; any
+        other cut labels the same. Per piece, the unit maximum is taken
+        once and the above-τ arrivals are found with one numpy pass per
+        τ raise: τ only rises within a unit, so each pass re-filters
+        only the arrivals the last one kept.
         """
+        run = np.asarray(run, dtype=np.float64)
         i, n = 0, len(run)
         while i < n:
             if self.unit_count == 0:
                 self.unit_start = lo + i
             j = min(n, i + self.lmin - self.unit_count)
-            piece = run[i:j] if i or j < n else run
-            best = max(piece)
+            piece = run[i:j]
+            # the newest of equal maxima wins: argmax takes the first
+            newest = piece[::-1]
+            back = int(newest.argmax())
+            best = float(newest[back])
             if best >= self.unit_max[0]:
-                # the piece is newer, and the newest of equal maxima wins
-                self.unit_max = (best, lo + j - 1 - piece[::-1].index(best))
-            tau = self.tau
-            if best >= tau:
-                u_tau = self.u_tau  # _raise_tau trims it in place
-                above = [(sc, t) for t, sc in enumerate(piece, lo + i) if sc >= tau]
-                for e in above:
-                    if e[0] >= self.tau:
-                        u_tau.append(e)
-                        if self.flag and len(u_tau) == 2 * self.zs:
-                            self._raise_tau()
-                        elif not self.flag and len(u_tau) > max(2 * self.zs, self.zmax):
-                            self._raise_tau()
-                            self.flag = True
+                # the piece is newer than the unit's earlier ones
+                self.unit_max = (best, lo + j - 1 - back)
+            self._take_above_tau(lo + i, piece)
             self.unit_count += j - i
             i = j
             if self.unit_count == self.lmin:
                 self._complete_unit(lo + j)
 
+    def _take_above_tau(self, lo: int, piece: np.ndarray) -> None:
+        """Append the piece's arrivals at or above τ to U^τ, in ``t`` order.
+
+        τ is raised as soon as U^τ reaches 2ζ* (initialising) or exceeds
+        max(2ζ*, ζmax) (an uptrend), and the rest of the piece is then
+        held against the raised τ.
+        """
+        idx = (piece >= self.tau).nonzero()[0]
+        while True:
+            cap = 2 * self.zs if self.flag else max(2 * self.zs, self.zmax) + 1
+            need = cap - len(self.u_tau)
+            take = idx[:need]
+            self.u_tau += zip(piece[take].tolist(), (take + lo).tolist())
+            if len(idx) < need:
+                return
+            self._raise_tau()
+            self.flag = True
+            rest = idx[need:]
+            idx = rest[piece[rest] >= self.tau]
+
     def _complete_unit(self, end: int) -> None:
         """Label the finished unit (Algorithm 2 lines 10–16)."""
         k = self.k
+        self.metrics.examined += self.raised
+        self.raised = 0
         if len(self.u_tau) >= k:
             # stable/uptrend: predecessor cannot be a k-unit (Theorem 2)
             if self.labels and self.labels[-1].demotable:

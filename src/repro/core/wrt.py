@@ -24,9 +24,9 @@ error, so partitioning decisions are preserved.
 """
 from __future__ import annotations
 
+import bisect
 import math
-
-import numpy as np
+from collections.abc import Sequence
 
 U_975 = 1.959963984540054  # upper 0.975 quantile of N(0,1)
 
@@ -54,23 +54,25 @@ def zeta_max(k: int) -> int:
     return int(math.ceil(zs + 3.0 * math.sqrt(zs)))
 
 
-def rank_sum(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
+def rank_sum(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
     """R1: sum of the ranks of ``sample_a`` in the merged ascending order.
 
     Ranks are 1-based over ``sample_a ∪ sample_b``; ties get average
     ranks (standard Mann-Whitney treatment).
     """
-    a = np.asarray(sample_a, dtype=np.float64)
-    b = np.asarray(sample_b, dtype=np.float64)
-    merged = np.sort(np.concatenate([a, b]))
+    merged = sorted([*sample_a, *sample_b])
     # the values tied with x hold ranks below+1 … through; their average
     # is (below + through + 1) / 2
-    below = np.searchsorted(merged, a, side="left")
-    through = np.searchsorted(merged, a, side="right")
-    return float((below + through + 1).sum() / 2.0)
+    total = sum(
+        bisect.bisect_left(merged, x) + bisect.bisect_right(merged, x) + 1
+        for x in sample_a
+    )
+    return total / 2.0
 
 
-def evaluation(topk_scores: np.ndarray, interval_scores: np.ndarray) -> float:
+def evaluation(
+    topk_scores: Sequence[float], interval_scores: Sequence[float]
+) -> float:
     """The paper's evaluation function F (Eq. 2), normal approximation.
 
     ``topk_scores`` are the k candidate scores of the rear partition,
@@ -91,7 +93,7 @@ def evaluation(topk_scores: np.ndarray, interval_scores: np.ndarray) -> float:
 
 
 def partition_improper(
-    topk_scores: np.ndarray, interval_scores: np.ndarray
+    topk_scores: Sequence[float], interval_scores: Sequence[float]
 ) -> bool:
     """True when WRT says the rear partition should be finalised."""
     return evaluation(topk_scores, interval_scores) > 0.0

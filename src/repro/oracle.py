@@ -10,6 +10,12 @@ collected via ``.toPandas()``. Alias every output column identically
 on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
 ``count_star()``) and project to scalar columns — array/map/struct
 columns are not orderable so cannot be compared here.
+
+Nullable pandas columns (``Float64``, ``Int64``, …) are cast to numpy
+``float64``/``int64`` before DuckDB sees them, a missing value becoming
+NaN: DuckDB 1.0 reads a ``pd.NA`` set into such a column as the value it
+replaced, so the oracle would answer over a score the frame does not
+hold.
 """
 import duckdb
 import pandas as pd
@@ -25,11 +31,22 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
+def _numpy_columns(pdf: pd.DataFrame) -> pd.DataFrame:
+    """Nullable numeric columns as numpy float64 (int64 when none is NA)."""
+    cast = {
+        c: "int64" if dt.kind in "iu" and not pdf[c].isna().any() else "float64"
+        for c, dt in pdf.dtypes.items()
+        if isinstance(dt, pd.api.extensions.ExtensionDtype) and dt.kind in "fiu"
+    }
+    return pdf.astype(cast) if cast else pdf
+
+
 def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
-            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
+            pdf = t.toPandas() if isinstance(t, DataFrame) else t
+            con.register(name, _numpy_columns(pdf))
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()

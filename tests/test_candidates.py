@@ -1,4 +1,7 @@
 """Unit tests for the candidate set with refine-on-merge (core/candidates.py)."""
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.candidates import CandidateSet
 
 
@@ -161,3 +164,39 @@ def test_dominate_below_counts_initial_dom():
     c.insert(1.5, 2)
     assert c.dominate_below(2.0, k=2) == (2, 1)
     assert list(c.iter_desc()) == [(1.5, 2)]
+
+
+@st.composite
+def merge_case(draw):
+    """Older entries with counters below k, and a newer partition's top-k
+    (possibly fewer than k entries), over a few tied score levels."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    level = st.integers(min_value=0, max_value=5).map(float)
+    old = draw(st.lists(st.tuples(level, st.integers(0, k - 1)), max_size=25))
+    new = draw(st.lists(level, min_size=0, max_size=k))
+    entries = [(sc, t, dom) for t, (sc, dom) in enumerate(old)]
+    new_desc = sorted(((sc, len(old) + i) for i, sc in enumerate(new)), reverse=True)
+    return k, entries, new_desc
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_case())
+def test_merge_topk_matches_dominance_recount(case):
+    """The band-limited merge equals counting, for every older entry, the
+    new entries that outscore it (ties at the new k-th and best scores,
+    partitions with fewer than k entries)."""
+    k, entries, new_desc = case
+    c = CandidateSet()
+    for sc, t, dom in entries:
+        c.insert(sc, t, dom=dom)
+    kept, refined = {}, 0
+    for sc, t, dom in entries:
+        d = dom + sum(1 for nsc, _ in new_desc if nsc > sc)
+        if d >= k:
+            refined += 1
+        else:
+            kept[t] = (sc, d)
+    kept.update({t: (sc, 0) for sc, t in new_desc})
+    assert c.merge_topk(new_desc, k) == (len(new_desc), refined)
+    assert list(c.iter_desc())[::-1] == sorted((sc, t) for t, (sc, _) in kept.items())
+    assert c._dom == {t: d for t, (_, d) in kept.items()}

@@ -98,3 +98,27 @@ def test_windows_past_the_extended_arrivals_rejected():
     algo.extend(gen_stream("TIMEU", 47, seed=0))  # windows 0 and 1
     with pytest.raises(ValueError, match="past the extended arrivals"):
         list(algo.windows(0, 3))
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_slide_must_step_to_the_next_window(algo):
+    # slide(2), slide(4), … used to report expired objects without an
+    # error, and slide(1) before warmup() gave the baselines a wrong
+    # top-k and SAP a bare IndexError
+    q = TopKQuery(n=240, k=10, s=4)
+    scores = gen_stream("TIMER", 1200, seed=7)
+    a = make_algorithm(algo, q)
+    a.attach(scores)
+    skipped = "does not step to the next window"
+    with pytest.raises(ValueError, match=skipped):
+        a.slide(1)
+    a.warmup()
+    for j in (0, -1, 2, 1 - q.n // q.s):
+        with pytest.raises(ValueError, match=skipped):
+            a.slide(j)
+    a.slide(1)
+    for j in (1, 3):
+        with pytest.raises(ValueError, match=skipped):
+            a.slide(j)
+    a.slide(2)
+    assert a.topk() == run_stream("naive", scores, q).results[2].tolist()

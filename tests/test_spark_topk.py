@@ -92,3 +92,24 @@ def test_duckdb_oracle_rejects_non_finite_scores(bad):
         with pytest.raises(duckdb.InvalidInputException, match="scores must be finite"):
             con.execute(windowed_topk_oracle_sql(q)).fetchall()
         con.close()
+
+
+@pytest.mark.parametrize("pos", [10, 121])
+def test_oracle_rejects_na_in_a_nullable_score_column(spark, pos):
+    # DuckDB reads a pd.NA set into a Float64 column as the score it
+    # replaced; registered as numpy float64 it is NaN and is rejected
+    q = TopKQuery(n=40, k=4, s=4)
+    pdf = stream_pdf("TIMEU", 123, seed=1)
+    out = continuous_topk_sql(spark.createDataFrame(pdf), q)  # lazy
+    pdf["score"] = pdf["score"].astype("Float64")
+    pdf.loc[pdf.t == pos, "score"] = pd.NA
+    with pytest.raises(duckdb.InvalidInputException, match="scores must be finite"):
+        assert_equivalent(out, windowed_topk_oracle_sql(q), stream=pdf)
+
+
+def test_oracle_keeps_nullable_columns_without_na(spark):
+    q = TopKQuery(n=40, k=4, s=4)
+    pdf = stream_pdf("TIMEU", 123, seed=1)
+    out = continuous_topk_sql(spark.createDataFrame(pdf), q)
+    nullable = pdf.astype({"t": "Int64", "score": "Float64"})
+    assert_equivalent(out, windowed_topk_oracle_sql(q), stream=nullable)

@@ -86,12 +86,15 @@ def test_declining_stream_keeps_k_units():
 
 
 def test_non_k_unit_summary_is_top1():
-    tr = drive(np.random.default_rng(2).random(600), k=5, lmin=100)
+    scores = np.random.default_rng(2).random(600)
+    tr = drive(scores, k=5, lmin=100)
+    assert any(lab.kind == "non" for lab in tr.labels)
     for lab in tr.labels:
         if lab.kind == "non":
             assert len(lab.summary) == 1
             lo, hi = lab.start, lab.end
             # top1 is the unit's true maximum
+            assert lab.summary[0] == max(zip(scores[lo:hi].tolist(), range(lo, hi)))
 
 
 def test_k_unit_summary_sorted_desc():
@@ -135,3 +138,73 @@ def test_uptrend_raises_tau():
     scores = np.concatenate([rng.random(200), rng.random(200) + 10])
     tr = drive(scores, k=5, lmin=100)
     assert tr.tau > 1.0
+
+
+class PythonRunTBUI(TBUITracker):
+    """The tracker as it took runs before units were labelled whole: pure
+    Python, each above-τ arrival appended and checked one at a time."""
+
+    def ingest_run(self, lo, run):
+        run = [float(x) for x in run]
+        i, n = 0, len(run)
+        while i < n:
+            if self.unit_count == 0:
+                self.unit_start = lo + i
+            j = min(n, i + self.lmin - self.unit_count)
+            piece = run[i:j]
+            best = max(piece)
+            if best >= self.unit_max[0]:
+                self.unit_max = (best, lo + j - 1 - piece[::-1].index(best))
+            tau = self.tau
+            if best >= tau:
+                u_tau = self.u_tau
+                for e in [(sc, t) for t, sc in enumerate(piece, lo + i) if sc >= tau]:
+                    if e[0] >= self.tau:
+                        u_tau.append(e)
+                        if self.flag and len(u_tau) == 2 * self.zs:
+                            self._raise_tau()
+                        elif not self.flag and len(u_tau) > max(2 * self.zs, self.zmax):
+                            self._raise_tau()
+                            self.flag = True
+            self.unit_count += j - i
+            i = j
+            if self.unit_count == self.lmin:
+                self._complete_unit(lo + j)
+
+
+def _labelled(tr):
+    labels = [(lab.start, lab.end, lab.kind, list(lab.summary), lab.demotable)
+              for lab in tr.labels]
+    return labels, tr.tau, tr.flag, tr.metrics.examined
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([2, 3, 6, 1000]),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=12),
+)
+def test_whole_units_label_as_slides_fed_one_by_one(
+    seed, levels, k, s, per_unit, units
+):
+    """SAP hands TBUI each unit whole once it has arrived; labels,
+    summaries, ``demotable``, τ and ``examined`` after every completed unit
+    equal those of the per-slide Python tracker. The stream ends inside a
+    unit, whose τ raises are not charged."""
+    rng = np.random.default_rng(seed)
+    lmin = s * per_unit
+    length = lmin * units + s * int(rng.integers(0, per_unit))
+    scores = rng.integers(0, levels, length).astype(np.float64)
+    ref = PythonRunTBUI(k, lmin, Metrics())
+    got = TBUITracker(k, lmin, Metrics())
+    for lo in range(0, length, s):
+        ref.ingest_run(lo, scores[lo : lo + s])
+        hi = lo + s
+        if hi % lmin == 0:
+            got.ingest_run(hi - lmin, scores[hi - lmin : hi])
+        assert _labelled(got)[3] == _labelled(ref)[3]
+        if hi % lmin == 0:
+            assert _labelled(got) == _labelled(ref)
