@@ -4,7 +4,7 @@ The window is split into arrival-ordered partitions. Each partition
 ``P_i`` contributes its top-k ``P_i^k`` to a global candidate set ``C``
 (merged with dominance-refinement, Fig. 4). Only the *front* partition —
 the one currently draining — may additionally need a *meaningful object
-set* ``M_0``: the k-skyband of ``P_0 − P_0^k``, held in an S-AVL and
+set* ``M_0``: the k-skyband of ``P_0 − P_0^k``, held as S-AVL stacks and
 consulted/promoted as front candidates expire. The group dominance
 number ρ (Definition 1) lets SAP skip building ``M_0`` entirely when k
 later candidates already dominate the front's k-th best.
@@ -30,8 +30,8 @@ Two Table-2 ablation switches:
   costlier formation S-AVL replaces.
 
 Correctness shape: the reported top-k is computed over
-``C ∪ M_0 ∪ P_rear^k`` (Algorithm 1 line 6), so promotions from the
-S-AVL are an optimisation, never a correctness dependency.
+``C ∪ M_0 ∪ P_rear^k`` (Algorithm 1 line 6), so promotions from
+``M_0`` are an optimisation, never a correctness dependency.
 
 Cost shape: a slide's cost follows the events in it, not its ``s``
 objects (§3). Each of the two hooks keeps a horizon — the next arrival
@@ -55,7 +55,7 @@ from .base import StreamTopK
 from .candidates import CandidateSet
 from .partitioning import equal_partition_size, lmax_units, unit_size
 from .query import TopKQuery
-from .savl import SAVL, MeaningfulSet, SortedMeaningful
+from .savl import SAVL, MeaningfulSet
 from .tbui import TBUITracker, UnitLabel
 from .wrt import eta, partition_improper
 
@@ -134,11 +134,7 @@ class SAP(StreamTopK):
             self.u_len = unit_size(q)
             self.max_units = lmax_units(q)
             self.eta_k = max(1, int(round(eta(q.k) * q.k)))
-        self.tbui = (
-            TBUITracker(q.k, self.u_len, self.metrics)
-            if mode == "enhanced"
-            else None
-        )
+        self.tbui = TBUITracker(q.k, self.metrics) if mode == "enhanced" else None
 
     # ----------------------------------------------------------- arrivals
     def _ingest_range(self, lo: int, hi: int) -> None:
@@ -177,7 +173,7 @@ class SAP(StreamTopK):
                 self._entered_until = hi
             if self.tbui is not None:
                 for b in range((lo // u + 1) * u, end + 1, u):
-                    self.tbui.ingest_run(b - u, self.scores[b - u : b])
+                    self.tbui.ingest_unit(b - u, self.scores[b - u : b])
             lo = end
             if end == stop:
                 self._at_boundary(end)
@@ -318,7 +314,7 @@ class SAP(StreamTopK):
 
         Partitions hold whole slides, so the slide lies inside the front
         partition. Work is done only at the C members among the expiring
-        objects (removal plus an S-AVL promotion) and at UBSA deep-scan
+        objects (removal plus an ``M_0`` promotion) and at UBSA deep-scan
         horizons, in ``t`` order and with a removal before a deep scan at
         the same ``t``, as an object-by-object drain orders them. A
         promoted object that expires later in the slide joins the queue.
@@ -432,14 +428,14 @@ class SAP(StreamTopK):
         assert part.end is not None
         lo = max(part.start, self.window_start)
         if not self.use_savl:
-            ms.add(self._exact_skyband(lo, part.end, cap, f_theta))
+            ms.add([self._exact_skyband(lo, part.end, cap, f_theta)])
             return ms
         if self.mode == "enhanced" and part.labels:
             self._ubsa(ms, part, lo, cap, f_theta)
             return ms
         savl = SAVL(cap)
         self._scan(savl, lo, part.end, f_theta)
-        ms.add(savl)
+        ms.add(savl.stacks)
         return ms
 
     def _scan(
@@ -463,8 +459,11 @@ class SAP(StreamTopK):
 
     def _exact_skyband(
         self, lo: int, hi: int, cap: int, f_theta: float
-    ) -> SortedMeaningful:
-        """No-S-AVL formation: exact skyband via full dominance counts."""
+    ) -> list[tuple[float, int]]:
+        """No-S-AVL formation: exact skyband via full dominance counts.
+
+        Returned sorted ascending, so that it is one stack of ``M_0``.
+        """
         seen: list[float] = []  # scores of scanned (newer) objects, asc
         kept: list[tuple[float, int]] = []
         for t in range(hi - 1, lo - 1, -1):
@@ -476,7 +475,7 @@ class SAP(StreamTopK):
                     kept.append((sc, t))
             bisect.insort(seen, sc)
             self.metrics.examined += 1  # dominance-count bookkeeping
-        return SortedMeaningful(kept)
+        return sorted(kept)
 
     def _ubsa(
         self,
@@ -496,11 +495,11 @@ class SAP(StreamTopK):
         minimum is below Fθ.
         """
         assert part.labels is not None
+        labels = part.labels  # whole units, in t order, with no gap
         main = SAVL(cap)
-        spans = sorted((lab.start, lab.end) for lab in part.labels)
-        for lab in sorted(part.labels, key=lambda x: -x.start):  # newest 1st
+        for lab in reversed(labels):  # newest first
             if lab.kind == "non":
-                if lab.top1()[0] < f_theta:
+                if lab.summary[0][0] < f_theta:
                     self.metrics.units_skipped += 1
                     continue
                 self._scan(main, max(lab.start, lo), lab.end, f_theta)
@@ -510,26 +509,18 @@ class SAP(StreamTopK):
                     for sc, t in lab.summary
                     if t not in self.C and sc >= f_theta and t >= lo
                 ]
-                lab.deep_scanned = False
-                ms.add(SortedMeaningful(entries))
-        # TBUI labels cover whole units only. The hard-cap seal
-        # (size == n) ends a partition mid-unit whenever n is not a
-        # multiple of u_len (e.g. n=90, k=45, s=3: u_len=63), leaving a
-        # tail no label covers; scan it plainly into its own structure.
-        uncovered: list[tuple[int, int]] = []
-        pos = part.start
-        for a, b in spans:
-            if a > pos:
-                uncovered.append((pos, a))
-            pos = max(pos, b)
-        if pos < part.end:
-            uncovered.append((pos, part.end))
-        for a, b in reversed(uncovered):
-            extra = SAVL(cap)
-            self._scan(extra, max(a, lo), b, f_theta)
-            if extra.size():
-                ms.add(extra)
-        ms.add(main)
+                ms.add([sorted(entries)])
+        # A partition can end or start mid-unit, where no label reaches:
+        # the hard-cap seal (size == n) ends one mid-unit whenever n is
+        # not a multiple of u_len (e.g. n=90, k=45, s=3: u_len=63), and
+        # the next one then starts there. Each such span is scanned
+        # plainly into its own S-AVL, the tail before the head.
+        for a, b in ((labels[-1].end, part.end), (part.start, labels[0].start)):
+            if a < b:
+                extra = SAVL(cap)
+                self._scan(extra, max(a, lo), b, f_theta)
+                ms.add(extra.stacks)
+        ms.add(main.stacks)
 
     def _deep_scan(self, front: SAPPartition, drain_t: int) -> None:
         """UBSA phase 2: deep-scan the k-units within one unit of ``drain_t``."""
@@ -542,11 +533,10 @@ class SAP(StreamTopK):
         ):
             lab = labels[front.deep_idx]
             front.deep_idx += 1
-            if lab.kind != "k" or lab.deep_scanned:
+            if lab.kind != "k":
                 continue
-            lab.deep_scanned = True
             f_theta = self._f_theta(front)
-            if lab.summary and lab.min_summary_score() < f_theta:
+            if lab.summary[-1][0] < f_theta:
                 # summary already holds every potential skyband object
                 self.metrics.units_skipped += 1
                 continue
@@ -558,7 +548,7 @@ class SAP(StreamTopK):
                 f_theta,
                 skip={t for _, t in lab.summary},
             )
-            front.m.add(deep)
+            front.m.add(deep.stacks)
             self._report = None
 
     # ------------------------------------------------------------ results
@@ -588,7 +578,7 @@ class SAP(StreamTopK):
         count = len(self.C) + len(self.rear.topk)
         m = self.sealed[0].m if self.sealed else None
         if m is not None:
-            # drop expired S-AVL tops first so that they are not counted
+            # drop expired M_0 tops first so that they are not counted
             m.peek_max(self.window_start)
             count += m.size()
         return count

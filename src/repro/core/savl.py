@@ -1,9 +1,14 @@
-"""The S-AVL structure (§5.1) holding a partition's meaningful objects.
+"""The front partition's meaningful set ``M_0`` and its S-AVL builder (§5.1).
 
-An S-AVL is a set of at most ``k − ρ`` stacks plus an ordered view over
-the stack *tops*. Objects of the front partition (minus its top-k) are
-scanned in **reverse arrival order** (newest first) and offered to the
-structure:
+``M_0`` is one list of stacks, each with scores ascending toward the top.
+Its queries look at the stack tops only: ``pop_max`` promotes the best
+meaningful object into the candidate set when a front candidate
+expires. Entries are lazily expired: a top with ``t < min_t`` is dropped
+before each query.
+
+An S-AVL builds stacks for ``M_0``. Objects of the front partition
+(minus its top-k) are scanned in **reverse arrival order** (newest
+first) and offered to at most ``k − ρ`` stacks:
 
 * each stack keeps scores ascending toward the top and arrival times
   descending toward the top (the top is the oldest, highest entry);
@@ -13,17 +18,15 @@ structure:
   by the ``k − ρ`` tops (all newer than it) plus the ρ later candidates
   that define the group dominance number — it is pruned.
 
-The stack-top view supports ``pop_max`` (promote the best meaningful
-object into the candidate set when a front candidate expires) in
-O(log k); with ≤ k stacks a linear max over tops is within the same
-bound and is what we use. Entries are lazily expired: anything with
-``t < min_t`` is skipped on pop/iteration.
+A list sorted ascending is a stack too, so ``M_0`` also holds the k-unit
+summaries of UBSA (§5.2) and the exact skyband of the no-S-AVL variant
+(Table 2) as one stack each. Their arrival times are not monotone, so an
+expired entry may lie under an alive top; ``iter_desc`` filters those
+out and ``size`` counts them until they surface.
 
-The paper pairs the stacks with an AVL tree over the tops; with at most
-``k − ρ`` stacks the ordered-view operations here are O(k) worst case
-per pop, matching the paper's O(log k) up to the structure's own bound —
-and the *count of offered/pruned objects*, which is what the cost model
-tracks, is identical.
+The paper pairs the stacks with an AVL tree over the tops; a linear max
+over the tops is used here. The *count of offered/pruned objects*, which
+is what the cost model tracks, is the same.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from collections.abc import Iterator
 
 
 class SAVL:
-    """Stacks + max-view over stack tops for one partition's M set."""
+    """Builds the stacks of one S-AVL by a newest-first scan."""
 
     def __init__(self, max_stacks: int) -> None:
         if max_stacks < 1:
@@ -60,6 +63,17 @@ class SAVL:
             self.stacks.append([(score, t)])
             return True
         return False
+
+
+class MeaningfulSet:
+    """``M_0``: stacks with scores ascending toward the top (index -1)."""
+
+    def __init__(self) -> None:
+        self.stacks: list[list[tuple[float, int]]] = []
+
+    def add(self, stacks: list[list[tuple[float, int]]]) -> None:
+        """Take over ``stacks``; empty ones are left out."""
+        self.stacks += [st for st in stacks if st]
 
     def _drop_expired_tops(self, min_t: int) -> None:
         for st in self.stacks:
@@ -97,93 +111,3 @@ class SAVL:
     def size(self) -> int:
         """Number of stored entries (including not-yet-expired-checked)."""
         return sum(len(st) for st in self.stacks)
-
-
-class SortedMeaningful:
-    """Drop-in M-set used by the *no-S-AVL* SAP variant (Table 2).
-
-    A plain sorted list of the partition's exact meaningful objects,
-    built by a reverse scan with full dominance counting — the costlier
-    formation path that S-AVL is designed to beat.
-    """
-
-    def __init__(self, entries_desc: list[tuple[float, int]]) -> None:
-        # stored ascending; pop from the end
-        self._entries = sorted(entries_desc)
-
-    def pop_max(self, min_t: int) -> tuple[float, int] | None:
-        """Remove and return the best alive entry (None when empty)."""
-        while self._entries:
-            score, t = self._entries.pop()
-            if t >= min_t:
-                return (score, t)
-        return None
-
-    def peek_max(self, min_t: int) -> tuple[float, int] | None:
-        """Best alive entry without removing it (None when empty).
-
-        Expired entries at the score-tail are dropped as a side effect;
-        entries are not t-ordered, so deeper expired entries are left to
-        ``iter_desc``'s filter.
-        """
-        while self._entries and self._entries[-1][1] < min_t:
-            self._entries.pop()
-        return self._entries[-1] if self._entries else None
-
-    def iter_desc(self, min_t: int) -> Iterator[tuple[float, int]]:
-        """Alive entries in descending order."""
-        for score, t in reversed(self._entries):
-            if t >= min_t:
-                yield (score, t)
-
-    def size(self) -> int:
-        """Number of stored entries."""
-        return len(self._entries)
-
-
-class MeaningfulSet:
-    """Union of sub-structures forming a front partition's ``M_0``.
-
-    The baseline SAP keeps one S-AVL; the enhanced (UBSA, §5.2) variant
-    keeps one main S-AVL plus a per-k-unit structure, possibly replaced
-    by a deeper per-unit S-AVL when the drain pointer approaches the
-    unit. ``MeaningfulSet`` hides that composition behind the same
-    pop/iter interface.
-    """
-
-    def __init__(self) -> None:
-        self.parts: list[SAVL | SortedMeaningful] = []
-
-    def add(self, part: SAVL | SortedMeaningful) -> None:
-        """Attach a sub-structure."""
-        self.parts.append(part)
-
-    def pop_max(self, min_t: int) -> tuple[float, int] | None:
-        """Remove and return the best alive entry across sub-structures."""
-        best_i, best = -1, None
-        for i, p in enumerate(self.parts):
-            head = p.peek_max(min_t)
-            if head is not None and (best is None or head > best):
-                best_i, best = i, head
-        if best_i < 0:
-            return None
-        return self.parts[best_i].pop_max(min_t)
-
-    def peek_max(self, min_t: int) -> tuple[float, int] | None:
-        """Best alive entry across sub-structures without removal."""
-        best = None
-        for p in self.parts:
-            head = p.peek_max(min_t)
-            if head is not None and (best is None or head > best):
-                best = head
-        return best
-
-    def iter_desc(self, min_t: int) -> Iterator[tuple[float, int]]:
-        """Alive entries across sub-structures, descending."""
-        yield from heapq.merge(
-            *[p.iter_desc(min_t) for p in self.parts], reverse=True
-        )
-
-    def size(self) -> int:
-        """Total stored entries."""
-        return sum(p.size() for p in self.parts)

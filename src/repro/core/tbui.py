@@ -25,15 +25,15 @@ a downtrend is labelled non-k (so UBSA scans it in phase 1 under the Fθ
 guard) instead of carrying Algorithm 2's ambiguous ``U^τ_v`` summary —
 labels only steer cost, and this keeps the tracker O(1) per object.
 
-SAP feeds each unit whole once its last object has arrived: the
-above-τ objects are found with one numpy pass, and each τ raise
-re-filters only the ones the last pass kept. The objects a τ raise sorts
-are charged as examined when the unit completes, so a unit the stream
-ends inside charges nothing.
+The tracker takes whole units only (``ingest_unit``), each once its last
+object has arrived, so units tile the stream and labels come in ``t``
+order. The above-τ objects are found with one numpy pass, and each τ
+raise re-filters only the ones the last pass kept. The objects a τ raise
+sorts are charged as examined when the unit completes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,25 +48,15 @@ class UnitLabel:
     start: int  # first arrival index of the unit
     end: int  # one past the last
     kind: str  # "k" or "non"
-    summary: list[tuple[float, int]] = field(default_factory=list)  # desc
-    demotable: bool = True
-    deep_scanned: bool = False
-
-    def top1(self) -> tuple[float, int]:
-        """Highest-scored summary entry."""
-        return self.summary[0]
-
-    def min_summary_score(self) -> float:
-        """Lowest summary score (UBSA's skip-scan guard)."""
-        return self.summary[-1][0]
+    summary: list[tuple[float, int]]  # desc
+    demotable: bool
 
 
 class TBUITracker:
-    """Streams rear-partition arrivals and emits unit labels."""
+    """Labels each unit of arrivals as it completes."""
 
-    def __init__(self, k: int, lmin: int, metrics: Metrics) -> None:
+    def __init__(self, k: int, metrics: Metrics) -> None:
         self.k = k
-        self.lmin = lmin
         self.metrics = metrics
         self.zs = zeta_star(k)
         self.zmax = zeta_max(k)
@@ -74,9 +64,6 @@ class TBUITracker:
         self.flag = True  # True while τ initialisation is in progress
         self.u_tau: list[tuple[float, int]] = []  # current unit's above-τ
         self.raised = 0  # entries the current unit's τ raises examined
-        self.unit_max: tuple[float, int] = (float("-inf"), -1)
-        self.unit_count = 0
-        self.unit_start = 0
         self.labels: list[UnitLabel] = []
 
     def _raise_tau(self) -> None:
@@ -90,58 +77,46 @@ class TBUITracker:
         self.tau = self.u_tau[self.zs - 1][0]
         del self.u_tau[self.zs :]
 
-    def ingest_run(self, lo: int, run: np.ndarray | list[float]) -> None:
-        """Process arrivals ``t = lo, lo+1, …`` scoring ``run``.
+    def ingest_unit(self, lo: int, unit: np.ndarray | list[float]) -> None:
+        """Label the whole unit ``t = lo, lo+1, …`` scoring ``unit``.
 
-        Algorithm 2 lines 3–9, one piece at a time: the run is cut at unit
-        ends. SAP hands each unit over whole once it has arrived; any
-        other cut labels the same. Per piece, the unit maximum is taken
-        once and the above-τ arrivals are found with one numpy pass per
-        τ raise: τ only rises within a unit, so each pass re-filters
-        only the arrivals the last one kept.
+        Algorithm 2 lines 3–16 for one unit: its maximum is taken once
+        and its above-τ arrivals are found with one numpy pass per τ
+        raise: τ only rises within a unit, so each pass re-filters only
+        the arrivals the last one kept.
         """
-        run = np.asarray(run, dtype=np.float64)
-        i, n = 0, len(run)
-        while i < n:
-            if self.unit_count == 0:
-                self.unit_start = lo + i
-            j = min(n, i + self.lmin - self.unit_count)
-            piece = run[i:j]
-            # the newest of equal maxima wins: argmax takes the first
-            newest = piece[::-1]
-            back = int(newest.argmax())
-            best = float(newest[back])
-            if best >= self.unit_max[0]:
-                # the piece is newer than the unit's earlier ones
-                self.unit_max = (best, lo + j - 1 - back)
-            self._take_above_tau(lo + i, piece)
-            self.unit_count += j - i
-            i = j
-            if self.unit_count == self.lmin:
-                self._complete_unit(lo + j)
+        unit = np.asarray(unit, dtype=np.float64)
+        end = lo + len(unit)
+        # the newest of equal maxima wins: argmax takes the first
+        newest = unit[::-1]
+        back = int(newest.argmax())
+        self._take_above_tau(lo, unit)
+        self._complete_unit(lo, end, (float(newest[back]), end - 1 - back))
 
-    def _take_above_tau(self, lo: int, piece: np.ndarray) -> None:
-        """Append the piece's arrivals at or above τ to U^τ, in ``t`` order.
+    def _take_above_tau(self, lo: int, unit: np.ndarray) -> None:
+        """Append the unit's arrivals at or above τ to U^τ, in ``t`` order.
 
         τ is raised as soon as U^τ reaches 2ζ* (initialising) or exceeds
-        max(2ζ*, ζmax) (an uptrend), and the rest of the piece is then
+        max(2ζ*, ζmax) (an uptrend), and the rest of the unit is then
         held against the raised τ.
         """
-        idx = (piece >= self.tau).nonzero()[0]
+        idx = (unit >= self.tau).nonzero()[0]
         while True:
             cap = 2 * self.zs if self.flag else max(2 * self.zs, self.zmax) + 1
             need = cap - len(self.u_tau)
             take = idx[:need]
-            self.u_tau += zip(piece[take].tolist(), (take + lo).tolist())
+            self.u_tau += zip(unit[take].tolist(), (take + lo).tolist())
             if len(idx) < need:
                 return
             self._raise_tau()
             self.flag = True
             rest = idx[need:]
-            idx = rest[piece[rest] >= self.tau]
+            idx = rest[unit[rest] >= self.tau]
 
-    def _complete_unit(self, end: int) -> None:
-        """Label the finished unit (Algorithm 2 lines 10–16)."""
+    def _complete_unit(
+        self, start: int, end: int, unit_max: tuple[float, int]
+    ) -> None:
+        """Label the finished unit ``[start, end)`` (Algorithm 2 lines 10–16)."""
         k = self.k
         self.metrics.examined += self.raised
         self.raised = 0
@@ -153,7 +128,7 @@ class TBUITracker:
                 prev.summary = [max(prev.summary)]
             summary = sorted(self.u_tau, reverse=True)[:k]
             self.labels.append(
-                UnitLabel(self.unit_start, end, "k", summary, demotable=True)
+                UnitLabel(start, end, "k", summary, demotable=True)
             )
             self.flag = False
         else:
@@ -163,19 +138,11 @@ class TBUITracker:
             if self.labels:
                 self.labels[-1].demotable = False
             self.labels.append(
-                UnitLabel(
-                    self.unit_start,
-                    end,
-                    "non",
-                    [self.unit_max],
-                    demotable=False,
-                )
+                UnitLabel(start, end, "non", [unit_max], demotable=False)
             )
             self.tau = float("-inf")
             self.flag = True
         self.u_tau = []
-        self.unit_max = (float("-inf"), -1)
-        self.unit_count = 0
 
     def labels_for(self, start: int, end: int) -> list[UnitLabel]:
         """Completed-unit labels covering arrival range [start, end)."""

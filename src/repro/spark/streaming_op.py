@@ -10,7 +10,9 @@ micro-batch boundaries are arbitrary and a file source may deliver rows
 out of order, so each batch's rows are staged (:func:`stage_rows`) and
 only the contiguous arrival-index prefix is fed to the algorithm. A
 late row (its ``t`` already fed) and a repeated ``t`` (the first arrival
-wins) are dropped and counted in the state.
+wins) are dropped and counted in the state. More than ``n`` rows waiting
+behind a missing ``t`` fail the query, as a gap fails the batch
+operator, so the buffer stays bounded by the window size.
 
 Every completed window's top-k is emitted in the batch that completes
 it, in ``(stream_id, window_id, rank, t, score)`` rows — the same shape
@@ -39,7 +41,7 @@ EMPTY_STAGE = {"pending": {}, "next_t": 0, "late": 0, "duplicate": 0}
 
 
 def stage_rows(
-    stage: dict, rows: Iterable[tuple[int, float]]
+    stage: dict, rows: Iterable[tuple[int, float]], limit: int, sid: int
 ) -> tuple[list[float], dict]:
     """Stage one batch's ``(t, score)`` rows; return the run to feed.
 
@@ -48,7 +50,8 @@ def stage_rows(
     dropped rows: ``late`` (``t < next_t``, already fed) and
     ``duplicate`` (``t`` already pending; the first arrival wins).
     Returns the scores of the contiguous run from ``next_t`` and the new
-    stage; ``stage`` itself is not modified.
+    stage; ``stage`` itself is not modified. Raises ``ValueError`` when
+    more than ``limit`` rows of stream ``sid`` wait behind a missing ``t``.
     """
     pending = dict(stage["pending"])
     next_t, late, duplicate = stage["next_t"], stage["late"], stage["duplicate"]
@@ -63,6 +66,11 @@ def stage_rows(
     while next_t in pending:
         chunk.append(pending.pop(next_t))
         next_t += 1
+    if len(pending) > limit:
+        raise ValueError(
+            f"stream {sid}: {len(pending)} rows wait behind the missing "
+            f"t = {next_t}, more than the window's {limit}"
+        )
     return chunk, {
         "pending": pending,
         "next_t": next_t,
@@ -94,6 +102,8 @@ def _make_func(q: TopKQuery, algo: str, opts: dict):
                 for pdf in pdfs
                 for t, sc in zip(pdf["t"], pdf["score"])
             ),
+            q.n,
+            sid,
         )
         rows = drv.feed(pd.Series(chunk, dtype="float64").to_numpy())
         state.update((pickle.dumps({"drv": drv, **stage}),))

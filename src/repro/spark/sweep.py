@@ -35,21 +35,9 @@ CELL_FIELDS = ("cell_id", "table", "dataset", "algo", "opts", "axis", "label")
 PARAM_FIELDS = ("length", "seed", "n", "k", "s", "repeats")
 
 CELL_SCHEMA = StructType(
-    [
-        StructField("cell_id", LongType()),
-        StructField("table", StringType()),
-        StructField("dataset", StringType()),
-        StructField("algo", StringType()),
-        StructField("opts", StringType()),
-        StructField("axis", StringType()),
-        StructField("label", StringType()),
-        StructField("length", LongType()),
-        StructField("seed", LongType()),
-        StructField("n", LongType()),
-        StructField("k", LongType()),
-        StructField("s", LongType()),
-        StructField("repeats", LongType()),
-    ]
+    [StructField("cell_id", LongType())]
+    + [StructField(f, StringType()) for f in CELL_FIELDS[1:]]
+    + [StructField(f, LongType()) for f in PARAM_FIELDS]
 )
 
 RESULT_SCHEMA = StructType(

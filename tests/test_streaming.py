@@ -92,15 +92,26 @@ def test_streaming_operator_drops_late_and_duplicate_rows(spark, tmp_path):
 
 def test_stage_rows_drops_late_and_duplicate_rows():
     chunk, stage = stage_rows(
-        EMPTY_STAGE, [(1, 1.0), (0, 0.0), (3, 3.0), (3, 9.0)]
+        EMPTY_STAGE, [(1, 1.0), (0, 0.0), (3, 3.0), (3, 9.0)], 10, 0
     )
     assert chunk == [0.0, 1.0]
     assert stage == {"pending": {3: 3.0}, "next_t": 2, "late": 0, "duplicate": 1}
     # t = 0, 1 were fed (late); t = 3 keeps its first score
     chunk, after = stage_rows(
-        stage, [(0, 5.0), (1, 5.0), (3, 7.0), (2, 2.0), (4, 4.0)]
+        stage, [(0, 5.0), (1, 5.0), (3, 7.0), (2, 2.0), (4, 4.0)], 10, 0
     )
     assert chunk == [2.0, 3.0, 4.0]
     assert after == {"pending": {}, "next_t": 5, "late": 2, "duplicate": 2}
     assert stage["pending"] == {3: 3.0}
     assert EMPTY_STAGE == {"pending": {}, "next_t": 0, "late": 0, "duplicate": 0}
+
+
+def test_stage_rows_bounds_rows_waiting_behind_a_gap():
+    # t = 3 never arrives: up to n rows may wait behind it, not n + 1
+    n = 5
+    chunk, stage = stage_rows(EMPTY_STAGE, [(t, 0.0) for t in range(3)], n, 7)
+    assert chunk == [0.0, 0.0, 0.0]
+    _, stage = stage_rows(stage, [(t, 0.0) for t in range(4, 4 + n)], n, 7)
+    assert len(stage["pending"]) == n
+    with pytest.raises(ValueError, match=r"stream 7: .* missing t = 3"):
+        stage_rows(stage, [(4 + n, 0.0)], n, 7)

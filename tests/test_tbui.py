@@ -7,24 +7,20 @@ from repro.core.metrics import Metrics
 from repro.core.tbui import TBUITracker
 
 
-def drive(scores, k=5, lmin=50, cuts=None):
-    """Feed ``scores`` as runs split at ``cuts`` (default: one run)."""
-    tr = TBUITracker(k, lmin, Metrics())
-    run = [float(sc) for sc in scores]
-    bounds = [0, *sorted(cuts or ()), len(run)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        tr.ingest_run(lo, run[lo:hi])
+def drive(scores, k=5, lmin=50):
+    """Feed the whole units of ``scores``; a partial last unit is left out."""
+    tr = TBUITracker(k, Metrics())
+    for lo in range(0, len(scores) - lmin + 1, lmin):
+        tr.ingest_unit(lo, scores[lo : lo + lmin])
     return tr
 
 
 def reference_drive(scores, k, lmin):
     """Algorithm 2 lines 3–9 stepped one object at a time."""
-    tr = TBUITracker(k, lmin, Metrics())
+    tr = TBUITracker(k, Metrics())
+    unit_max = (float("-inf"), -1)
     for t, sc in enumerate(float(x) for x in scores):
-        if tr.unit_count == 0:
-            tr.unit_start = t
-        tr.unit_count += 1
-        tr.unit_max = max(tr.unit_max, (sc, t))
+        unit_max = max(unit_max, (sc, t))
         if sc >= tr.tau:
             tr.u_tau.append((sc, t))
             if tr.flag and len(tr.u_tau) == 2 * tr.zs:
@@ -32,14 +28,14 @@ def reference_drive(scores, k, lmin):
             elif not tr.flag and len(tr.u_tau) > max(2 * tr.zs, tr.zmax):
                 tr._raise_tau()
                 tr.flag = True
-        if tr.unit_count == lmin:
-            tr._complete_unit(t + 1)
+        if (t + 1) % lmin == 0:
+            tr._complete_unit(t + 1 - lmin, t + 1, unit_max)
+            unit_max = (float("-inf"), -1)
     return tr
 
 
 def _state(tr):
-    return (tr.labels, tr.tau, tr.flag, tr.u_tau, tr.unit_max,
-            tr.unit_count, tr.metrics.examined)
+    return (tr.labels, tr.tau, tr.flag, tr.u_tau, tr.metrics.examined)
 
 
 @settings(max_examples=60, deadline=None)
@@ -47,19 +43,15 @@ def _state(tr):
     st.lists(st.integers(min_value=0, max_value=8), min_size=100, max_size=400),
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=120),
-    st.data(),
 )
-def test_runs_match_one_at_a_time(vals, k, lmin, data):
-    """Labels, τ and op counts do not depend on how arrivals are split."""
+def test_runs_match_one_at_a_time(vals, k, lmin):
+    """Labels, τ and op counts of whole units equal the per-object steps."""
     # few score levels, so arrivals often tie τ; units of up to 120
     # objects, so τ gets raised (that takes 2ζ* ≥ 22 above-τ arrivals)
     scores = np.array(vals, dtype=np.float64) / 4
-    n = len(scores)
-    expected = _state(reference_drive(scores, k, lmin))
-    cuts = data.draw(st.sets(st.integers(min_value=1, max_value=max(1, n - 1))))
-    assert _state(drive(scores, k, lmin, cuts=range(1, n))) == expected
+    whole = len(scores) // lmin * lmin
+    expected = _state(reference_drive(scores[:whole], k, lmin))
     assert _state(drive(scores, k, lmin)) == expected
-    assert _state(drive(scores, k, lmin, cuts=cuts)) == expected
 
 
 def test_labels_tile_the_stream():
@@ -142,7 +134,15 @@ def test_uptrend_raises_tau():
 
 class PythonRunTBUI(TBUITracker):
     """The tracker as it took runs before units were labelled whole: pure
-    Python, each above-τ arrival appended and checked one at a time."""
+    Python, each above-τ arrival appended and checked one at a time, with
+    its own state of the unit under way."""
+
+    def __init__(self, k, lmin, metrics):
+        super().__init__(k, metrics)
+        self.lmin = lmin
+        self.unit_max = (float("-inf"), -1)
+        self.unit_count = 0
+        self.unit_start = 0
 
     def ingest_run(self, lo, run):
         run = [float(x) for x in run]
@@ -169,7 +169,9 @@ class PythonRunTBUI(TBUITracker):
             self.unit_count += j - i
             i = j
             if self.unit_count == self.lmin:
-                self._complete_unit(lo + j)
+                self._complete_unit(self.unit_start, lo + j, self.unit_max)
+                self.unit_max = (float("-inf"), -1)
+                self.unit_count = 0
 
 
 def _labelled(tr):
@@ -199,12 +201,12 @@ def test_whole_units_label_as_slides_fed_one_by_one(
     length = lmin * units + s * int(rng.integers(0, per_unit))
     scores = rng.integers(0, levels, length).astype(np.float64)
     ref = PythonRunTBUI(k, lmin, Metrics())
-    got = TBUITracker(k, lmin, Metrics())
+    got = TBUITracker(k, Metrics())
     for lo in range(0, length, s):
         ref.ingest_run(lo, scores[lo : lo + s])
         hi = lo + s
         if hi % lmin == 0:
-            got.ingest_run(hi - lmin, scores[hi - lmin : hi])
+            got.ingest_unit(hi - lmin, scores[hi - lmin : hi])
         assert _labelled(got)[3] == _labelled(ref)[3]
         if hi % lmin == 0:
             assert _labelled(got) == _labelled(ref)
