@@ -1,0 +1,46 @@
+"""SAP over one stream of each of perfbench's query shapes, timed.
+
+One case per shape, built from the paper grids (``repro.harness.grids``)
+and ``gen_stream``:
+
+* ``regular`` — TIMEU at the regular-speed defaults (n=2400, k=25, s=2);
+* ``high``    — TIMER at the high-speed defaults (n=30000, k=50, s=600);
+* ``stock``   — STOCK at the regular defaults with s=24, the query the
+  Spark operators run.
+
+Each case times ``run_stream("sap-enhanced", …)`` over a few rounds and
+checks every emitted window against the numpy naive re-sort. A case
+takes a few seconds, most of it the naive reference. Run with
+``pytest benchmarks/bench_core.py``.
+"""
+import numpy as np
+import pytest
+
+from repro.core.naive import all_windows_topk
+from repro.core.query import TopKQuery
+from repro.harness.grids import HIGH_SPEED, REGULAR
+from repro.streams.datasets import gen_stream
+from repro.streams.runner import run_stream
+
+SHAPES = {
+    "regular": ("TIMEU", REGULAR, REGULAR.s_default),
+    "high": ("TIMER", HIGH_SPEED, HIGH_SPEED.s_default),
+    "stock": ("STOCK", REGULAR, 24),  # one of REGULAR.s_sweep
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_sap_stream(benchmark, shape):
+    ds, spec, s = SHAPES[shape]
+    q = TopKQuery(n=spec.n_default, k=spec.k_default, s=s)
+    scores = gen_stream(ds, spec.length, seed=spec.seed)
+    result = benchmark.pedantic(
+        lambda: run_stream("sap-enhanced", scores, q),
+        rounds=5,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    expected = all_windows_topk(scores, q)
+    assert len(result.results) == len(expected)
+    for got, want in zip(result.results, expected):
+        assert np.array_equal(got, want)

@@ -32,6 +32,10 @@ class CandidateSet:
     def __contains__(self, t: int) -> bool:
         return t in self._dom
 
+    def count_between(self, lo: int, hi: int) -> int:
+        """Number of candidates with ``lo ≤ t < hi``."""
+        return sum(1 for t in self._dom if lo <= t < hi)
+
     def insert(self, score: float, t: int, dom: int = 0) -> None:
         """Insert one candidate with dominance counter ``dom``."""
         bisect.insort(self._entries, (score, t))

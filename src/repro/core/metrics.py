@@ -36,24 +36,33 @@ class Metrics:
     partitions_sealed: int = 0  # partitions created (SAP)
     wall_time_s: float = 0.0  # measured by the runner
 
-    # one sample per emitted window: size of the candidate structures
+    # size of the candidate structures, one sample per emitted window
+    # (see sample): their sum, their number and their maximum
+    candidate_total: int = 0
+    windows_sampled: int = 0
+    peak_candidates: int = 0
+
+    # per-window sizes kept by a caller that wants them all (the traced
+    # loop of perfbench/core_phase.py); run_stream and IncrementalDriver
+    # only call sample()
     candidate_samples: list[int] = field(default_factory=list)
 
     # constant per-run overhead entries (e.g. MinTopK's n/s lbp slots)
     overhead_pointers: int = 0
     counter_entries_flag: bool = False  # candidates carry dom counters
 
+    def sample(self, count: int) -> None:
+        """Record the candidate-structure size at one emitted window."""
+        self.candidate_total += count
+        self.windows_sampled += 1
+        self.peak_candidates = max(self.peak_candidates, count)
+
     @property
     def avg_candidates(self) -> float:
         """Average candidate-structure size over all emitted windows."""
-        if not self.candidate_samples:
+        if not self.windows_sampled:
             return 0.0
-        return sum(self.candidate_samples) / len(self.candidate_samples)
-
-    @property
-    def peak_candidates(self) -> int:
-        """Largest candidate-structure size observed."""
-        return max(self.candidate_samples, default=0)
+        return self.candidate_total / self.windows_sampled
 
     @property
     def memory_kb(self) -> float:

@@ -39,7 +39,10 @@ that can enter the rear's top-k or reach a boundary, and the next C
 member, reported object, deep-scan horizon or front end to expire — and
 returns at once on a slide that ends before it. TBUI labels each unit
 whole when the unit ends, and a split reads both halves' top-k without
-per-unit lists.
+per-unit lists. Long ranges are read with numpy, so Python work follows
+the objects that can matter: an ingest run longer than k is cut to its
+own top-k before it is merged, and an M formation or deep scan offers
+the S-AVL only the objects at or above Fθ.
 """
 from __future__ import annotations
 
@@ -150,7 +153,9 @@ class SAP(StreamTopK):
 
         Every stretch between boundaries is one run: its entries at or
         above the rear's k-th score are merged into the rear's top-k with
-        one sort, and TBUI labels each unit that ends in it whole. All
+        one sort, and TBUI labels each unit that ends in it whole. A run
+        longer than k is first cut with ``np.partition`` to its entries at
+        or above its own k-th score, so only those become tuples. All
         boundaries are multiples of ``s`` past a partition start, so a
         slide is always a single run.
         """
@@ -164,9 +169,21 @@ class SAP(StreamTopK):
             end = min(hi, stop)
             top = self.rear.topk
             floor = top[0][0] if len(top) == k else -math.inf
-            run = self.scores[lo:end].tolist()
-            if max(run) >= floor:
-                top += [(sc, t) for t, sc in enumerate(run, lo) if sc >= floor]
+            if end - lo > k:
+                # only the run's own top-k, ties at its k-th score
+                # included, can enter the rear's top-k
+                seg = self.scores[lo:end]
+                cut = len(seg) - k
+                floor = max(floor, np.partition(seg, cut)[cut])
+                idx = (seg >= floor).nonzero()[0]
+                entering = list(zip(seg[idx].tolist(), (idx + lo).tolist()))
+            else:
+                run = self.scores[lo:end].tolist()
+                entering = []
+                if max(run) >= floor:
+                    entering = [(sc, t) for t, sc in enumerate(run, lo) if sc >= floor]
+            if entering:
+                top += entering
                 top.sort()
                 del top[:-k]
                 self._report = None
@@ -445,17 +462,20 @@ class SAP(StreamTopK):
 
         C members and ``skip`` are passed over; every other object counts
         as examined and is offered when it scores at least ``f_theta``.
+        One numpy pass finds the objects at or above ``f_theta``, so only
+        those are visited one by one; the examined count is the range
+        less the C members and ``skip`` entries in it.
         """
-        C, scores = self.C, self.scores
-        examined = 0
-        for t in range(hi - 1, lo - 1, -1):
-            if t in C or t in skip:
-                continue
-            examined += 1
-            sc = float(scores[t])
-            if sc >= f_theta:
+        C = self.C
+        seg = self.scores[lo:hi]
+        idx = (seg >= f_theta).nonzero()[0][::-1]
+        for sc, t in zip(seg[idx].tolist(), (idx + lo).tolist()):
+            if t not in C and t not in skip:
                 savl.offer(sc, t)
-        self.metrics.examined += examined
+        passed = C.count_between(lo, hi) + sum(
+            1 for t in skip if lo <= t < hi and t not in C
+        )
+        self.metrics.examined += len(seg) - passed
 
     def _exact_skyband(
         self, lo: int, hi: int, cap: int, f_theta: float

@@ -27,9 +27,13 @@ labels only steer cost, and this keeps the tracker O(1) per object.
 
 The tracker takes whole units only (``ingest_unit``), each once its last
 object has arrived, so units tile the stream and labels come in ``t``
-order. The above-τ objects are found with one numpy pass, and each τ
-raise re-filters only the ones the last pass kept. The objects a τ raise
-sorts are charged as examined when the unit completes.
+order. The above-τ objects are found with numpy: one pass over the unit
+while τ stays put, and after each τ raise a window past the last object
+taken that doubles until it holds the objects the next raise needs, so
+a rising unit is not re-filtered whole at every raise. A raise selects
+the ζ* best with ``np.argpartition`` and sorts by ``(score, t)`` only when
+scores tie at τ. The objects a τ raise examines are charged when the
+unit completes.
 """
 from __future__ import annotations
 
@@ -69,8 +73,11 @@ class TBUITracker:
     def _raise_tau(self) -> None:
         """Median-search: τ ← ζ*-th highest of U^τ, keep entries above.
 
-        The entries sorted are charged as examined when the unit
-        completes, so a unit still arriving has charged nothing.
+        Algorithm 2's raise on the list U^τ, one arrival at a time; the
+        tests step through units with it. ``_take_above_tau`` makes the
+        same raises on arrays. The entries sorted are charged as examined
+        when the unit completes, so a unit still arriving has charged
+        nothing.
         """
         self.u_tau.sort(reverse=True)
         self.raised += len(self.u_tau)
@@ -81,9 +88,8 @@ class TBUITracker:
         """Label the whole unit ``t = lo, lo+1, …`` scoring ``unit``.
 
         Algorithm 2 lines 3–16 for one unit: its maximum is taken once
-        and its above-τ arrivals are found with one numpy pass per τ
-        raise: τ only rises within a unit, so each pass re-filters only
-        the arrivals the last one kept.
+        and its above-τ arrivals are found with numpy
+        (``_take_above_tau``).
         """
         unit = np.asarray(unit, dtype=np.float64)
         end = lo + len(unit)
@@ -94,24 +100,48 @@ class TBUITracker:
         self._complete_unit(lo, end, (float(newest[back]), end - 1 - back))
 
     def _take_above_tau(self, lo: int, unit: np.ndarray) -> None:
-        """Append the unit's arrivals at or above τ to U^τ, in ``t`` order.
+        """Set U^τ to the unit's arrivals at or above τ, raising τ on the way.
 
         τ is raised as soon as U^τ reaches 2ζ* (initialising) or exceeds
         max(2ζ*, ζmax) (an uptrend), and the rest of the unit is then
-        held against the raised τ.
+        held against the raised τ. The first round reads the whole unit;
+        after a raise, a round looks for the arrivals it needs in a window
+        that starts past the last one taken and doubles until it holds
+        enough, so a raise costs about the arrivals it consumes, not the
+        rest of the unit. U^τ is kept as unit offsets until the end.
         """
-        idx = (unit >= self.tau).nonzero()[0]
+        zs = self.zs
+        kept = None  # U^τ after the last raise, as offsets into the unit
+        at = 0  # the first offset not yet looked at
+        width = len(unit)  # a unit that raises no τ is read in one pass
         while True:
-            cap = 2 * self.zs if self.flag else max(2 * self.zs, self.zmax) + 1
-            need = cap - len(self.u_tau)
-            take = idx[:need]
-            self.u_tau += zip(unit[take].tolist(), (take + lo).tolist())
-            if len(idx) < need:
-                return
-            self._raise_tau()
+            cap = 2 * zs if self.flag else max(2 * zs, self.zmax) + 1
+            need = cap if kept is None else cap - zs
+            while True:
+                hit = (unit[at : at + width] >= self.tau).nonzero()[0]
+                if len(hit) >= need or at + width >= len(unit):
+                    break
+                width *= 2
+            hit += at
+            if len(hit) < need:
+                break
+            # U^τ reaches cap entries at its need-th new one
+            new = hit[:need]
+            pos = new if kept is None else np.concatenate((kept, new))
+            at = int(hit[need - 1]) + 1
+            val = unit[pos]
+            self.raised += cap
+            # τ ← ζ*-th highest; keep the ζ* best by (score, t)
+            order = np.argpartition(val, cap - zs)
+            self.tau = float(val[order[cap - zs]])
+            if np.count_nonzero(val >= self.tau) > zs:
+                # scores tie at τ: the newest of the ties are kept
+                order = np.lexsort((pos, val))
+            kept = pos[order[cap - zs :]]
             self.flag = True
-            rest = idx[need:]
-            idx = rest[unit[rest] >= self.tau]
+            width = zs  # the next round needs ζ* more
+        pos = hit if kept is None else np.concatenate((kept, hit))
+        self.u_tau = list(zip(unit[pos].tolist(), (pos + lo).tolist()))
 
     def _complete_unit(
         self, start: int, end: int, unit_max: tuple[float, int]

@@ -41,7 +41,7 @@ class IncrementalDriver:
         j1 = self.q.num_windows(len(algo.scores))
         out: list[tuple[int, int, int, float]] = []
         for ids in algo.windows(self.next_window, j1):
-            algo.metrics.candidate_samples.append(algo.candidate_count())
+            algo.metrics.sample(algo.candidate_count())
             out += [
                 (self.next_window, r + 1, int(t), float(algo.scores[t]))
                 for r, t in enumerate(ids)

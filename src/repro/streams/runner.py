@@ -89,7 +89,7 @@ def run_stream(
     algo.attach(scores)
     for ids in algo.windows(0, q.num_windows(len(scores))):
         elapsed += clock() - t0
-        algo.metrics.candidate_samples.append(algo.candidate_count())
+        algo.metrics.sample(algo.candidate_count())
         if collect_results:
             results.append(np.asarray(ids, dtype=np.int64))
         t0 = clock()

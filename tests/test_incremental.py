@@ -1,4 +1,6 @@
 """Unit tests for the incremental driver (streams/incremental.py)."""
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -134,3 +136,23 @@ def test_any_chunking_and_roundtrips_match_run_stream(algo, case):
     fed = drv.algo.metrics.as_row()
     del whole["wall_time_s"], fed["wall_time_s"]
     assert fed == whole
+
+
+def test_pickled_driver_does_not_grow_with_windows():
+    """Apart from the score buffer, the pickled driver stays the same size
+    however many windows it has emitted: ``Metrics`` keeps a running sum,
+    count and maximum of the candidate counts, not one sample per window."""
+    q = TopKQuery(n=240, k=10, s=4)
+    scores = gen_stream("STOCK", 24_000, seed=1)
+    drv = IncrementalDriver("sap-enhanced", q)
+    sizes = []
+    for off in range(0, len(scores), 480):
+        drv.feed(scores[off : off + 480])
+        state = len(drv.dumps()) - drv.algo.scores.nbytes
+        sizes.append((drv.next_window, state, len(pickle.dumps(drv.algo.metrics))))
+    (w0, state0, metrics0), (w1, state1, metrics1) = sizes[0], sizes[-1]
+    assert w1 - w0 > 5000
+    # one sample per window grew the state by ~2 bytes a window
+    assert state1 - state0 < (w1 - w0) / 10
+    # the counters only widen as their values grow
+    assert metrics1 - metrics0 <= 16

@@ -13,7 +13,8 @@ from repro.streams.runner import run_stream
 
 def test_memory_model():
     m = Metrics()
-    m.candidate_samples = [100, 100]
+    m.sample(100)
+    m.sample(100)
     assert m.memory_kb == pytest.approx(100 * 32 / 1024)
     m.counter_entries_flag = True
     assert m.memory_kb == pytest.approx(100 * 40 / 1024)
@@ -158,3 +159,60 @@ def test_sap_windows_pinned(variant):
         for w in r.results:
             h.update((",".join(map(str, w.tolist())) + "\n").encode())
     assert h.hexdigest() == _PINNED_WINDOWS_SHA256
+
+
+def test_sample_keeps_mean_and_peak():
+    m = Metrics()
+    for count in (3, 7, 5):
+        m.sample(count)
+    assert (m.windows_sampled, m.avg_candidates, m.peak_candidates) == (3, 5.0, 7)
+
+
+# A high-speed shape, s > k: every slide's arrivals are a run longer than
+# k, and M formations and UBSA deep scans cover whole 240-object units.
+# Rows and windows of every SAP variant, taken before long ranges were
+# scanned with numpy (a run cut to its own top-k, a scan prefiltered at
+# Fθ, TBUI τ raises in growing windows).
+_HS_Q = TopKQuery(n=1200, k=10, s=60)
+_PINNED_SAP_ROWS_HIGH_SPEED = {
+    "equal": (1120, 1091, 1452, 4, 0, 20, 58.14754098360656, 230, 1.817110655737705),
+    "equal-nosavl": (1120, 1091, 2412, 4, 0, 20, 58.14754098360656, 230, 1.817110655737705),
+    "equal-nodelay": (1120, 1091, 5132, 20, 0, 20, 116.67213114754098, 280, 3.6460040983606556),
+    "equal-nodelay-nosavl": (1120, 1091, 9932, 20, 0, 20, 111.91803278688525, 280, 3.497438524590164),
+    "dynamic": (1110, 1091, 1557, 4, 0, 19, 56.540983606557376, 220, 1.766905737704918),
+    "dynamic-nosavl": (1110, 1091, 2517, 4, 0, 19, 56.540983606557376, 220, 1.766905737704918),
+    "dynamic-nodelay": (1570, 1551, 5007, 19, 0, 19, 115.06557377049181, 280, 3.595799180327869),
+    "dynamic-nodelay-nosavl": (1570, 1551, 9567, 19, 0, 19, 110.31147540983606, 280, 3.447233606557377),
+    "enhanced": (1110, 1091, 5664, 4, 0, 19, 56.540983606557376, 220, 1.766905737704918),
+    "enhanced-nosavl": (1110, 1091, 6624, 4, 0, 19, 56.540983606557376, 220, 1.766905737704918),
+    "enhanced-nodelay": (1110, 1091, 8424, 19, 2, 19, 88.18032786885246, 280, 2.7556352459016393),
+    "enhanced-nodelay-nosavl": (1570, 1551, 13674, 19, 0, 19, 110.31147540983606, 280, 3.447233606557377),
+}
+_PINNED_WINDOWS_SHA256_HIGH_SPEED = (
+    "1bb03b760ed980a658d4bef6ab5719a021123e5eef0d251047b199545f5dd042"
+)
+
+
+@pytest.mark.parametrize("variant", sorted(_SAP_VARIANTS))
+def test_sap_metrics_pinned_high_speed(variant):
+    algo, opts = _SAP_VARIANTS[variant]
+    scores = gen_stream("TIMER", 4800, seed=7)
+    row = run_stream(algo, scores, _HS_Q, collect_results=False, **opts).metrics.as_row()
+    cols = ("insertions", "deletions", "examined", "m_formations",
+            "units_skipped", "partitions_sealed", "avg_candidates",
+            "peak_candidates", "memory_kb")
+    assert tuple(row[c] for c in cols) == pytest.approx(
+        _PINNED_SAP_ROWS_HIGH_SPEED[variant], rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("variant", sorted(_SAP_VARIANTS))
+def test_sap_windows_pinned_high_speed(variant):
+    algo, opts = _SAP_VARIANTS[variant]
+    h = hashlib.sha256()
+    for ds in ("STOCK", "TIMER", "TIMEU"):
+        r = run_stream(algo, gen_stream(ds, 4800, seed=7), _HS_Q, **opts)
+        h.update(ds.encode())
+        for w in r.results:
+            h.update((",".join(map(str, w.tolist())) + "\n").encode())
+    assert h.hexdigest() == _PINNED_WINDOWS_SHA256_HIGH_SPEED

@@ -144,7 +144,7 @@ def _drive(algo, q, scores):
     out = []
     for ids in algo.windows(0, q.num_windows(len(scores))):
         count = algo.candidate_count()
-        algo.metrics.candidate_samples.append(count)
+        algo.metrics.sample(count)
         out.append((ids, count))
     row = algo.metrics.as_row()
     del row["wall_time_s"]

@@ -62,7 +62,7 @@ def _drive(algo: SAP, q: TopKQuery, scores: np.ndarray):
         if j:
             algo.slide(j)
         count = algo.candidate_count()
-        algo.metrics.candidate_samples.append(count)
+        algo.metrics.sample(count)
         out.append((algo.topk(), count))
     row = algo.metrics.as_row()
     del row["wall_time_s"]

@@ -54,6 +54,38 @@ def test_runs_match_one_at_a_time(vals, k, lmin):
     assert _state(drive(scores, k, lmin)) == expected
 
 
+@st.composite
+def long_units(draw):
+    """Whole units of 200–800 objects that rise or step, so that τ is
+    raised many times within a unit, with ties at τ."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    lmin = draw(st.integers(min_value=200, max_value=800))
+    length = lmin * draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["rising", "noisy-rising", "stepped"]))
+    if kind == "rising":
+        # plateaus of equal scores
+        scores = np.cumsum(rng.integers(0, 3, length))
+    elif kind == "noisy-rising":
+        scores = np.arange(length) // 4 + rng.integers(0, 8, length)
+    else:
+        # level blocks that go up and down: raises, then restarts
+        steps = rng.integers(10, 120, length // 10 + 1)
+        levels = rng.integers(0, 6, len(steps)) * 10
+        scores = np.repeat(levels, steps)[:length] + rng.integers(0, 3, length)
+    return np.asarray(scores, dtype=np.float64) / 2, k, lmin
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_units())
+def test_long_rising_units_match_one_at_a_time(case):
+    """Units long enough for dozens of τ raises each: labels, τ, U^τ and
+    op counts equal the per-object steps."""
+    scores, k, lmin = case
+    expected = _state(reference_drive(scores, k, lmin))
+    assert _state(drive(scores, k, lmin)) == expected
+
+
 def test_labels_tile_the_stream():
     tr = drive(np.random.default_rng(0).random(500), k=5, lmin=50)
     assert len(tr.labels) == 10
