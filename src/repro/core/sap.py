@@ -595,10 +595,13 @@ class SAP(StreamTopK):
         return list(self._report)
 
     def candidate_count(self) -> int:
+        """Alive entries of ``C ∪ P_rear^k ∪ M_0``.
+
+        ``C`` and the rear's top-k hold no expired entry; ``M_0`` may, under
+        an alive top, and those are not counted.
+        """
         count = len(self.C) + len(self.rear.topk)
         m = self.sealed[0].m if self.sealed else None
         if m is not None:
-            # drop expired M_0 tops first so that they are not counted
-            m.peek_max(self.window_start)
-            count += m.size()
+            count += m.size(self.window_start)
         return count

@@ -21,8 +21,8 @@ first) and offered to at most ``k − ρ`` stacks:
 A list sorted ascending is a stack too, so ``M_0`` also holds the k-unit
 summaries of UBSA (§5.2) and the exact skyband of the no-S-AVL variant
 (Table 2) as one stack each. Their arrival times are not monotone, so an
-expired entry may lie under an alive top; ``iter_desc`` filters those
-out and ``size`` counts them until they surface.
+expired entry may lie under an alive top; ``iter_desc`` and ``size``
+pass over those.
 
 The paper pairs the stacks with an AVL tree over the tops; a linear max
 over the tops is used here. The *count of offered/pruned objects*, which
@@ -108,6 +108,6 @@ class MeaningfulSet:
         # each stack read top→bottom is descending in score
         yield from heapq.merge(*iters, reverse=True)
 
-    def size(self) -> int:
-        """Number of stored entries (including not-yet-expired-checked)."""
-        return sum(len(st) for st in self.stacks)
+    def size(self, min_t: int) -> int:
+        """Number of stored entries with ``t ≥ min_t``."""
+        return sum(1 for st in self.stacks for _, t in st if t >= min_t)

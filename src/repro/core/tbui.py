@@ -27,13 +27,13 @@ labels only steer cost, and this keeps the tracker O(1) per object.
 
 The tracker takes whole units only (``ingest_unit``), each once its last
 object has arrived, so units tile the stream and labels come in ``t``
-order. The above-τ objects are found with numpy: one pass over the unit
-while τ stays put, and after each τ raise a window past the last object
-taken that doubles until it holds the objects the next raise needs, so
-a rising unit is not re-filtered whole at every raise. A raise selects
-the ζ* best with ``np.argpartition`` and sorts by ``(score, t)`` only when
-scores tie at τ. The objects a τ raise examines are charged when the
-unit completes.
+order. τ, ``flag`` and the raises' charge depend only on the scores
+above τ, so the raises run on scores alone, with numpy: one pass over
+the unit while τ stays put, and after each τ raise a window past the
+last object taken that doubles until it holds the ζ* objects the next
+raise needs. A raise is one in-place partition of a 2ζ*-score buffer.
+U^τ is read once, when the unit's τ is final. The objects a τ raise
+examines are charged when the unit completes.
 """
 from __future__ import annotations
 
@@ -70,20 +70,6 @@ class TBUITracker:
         self.raised = 0  # entries the current unit's τ raises examined
         self.labels: list[UnitLabel] = []
 
-    def _raise_tau(self) -> None:
-        """Median-search: τ ← ζ*-th highest of U^τ, keep entries above.
-
-        Algorithm 2's raise on the list U^τ, one arrival at a time; the
-        tests step through units with it. ``_take_above_tau`` makes the
-        same raises on arrays. The entries sorted are charged as examined
-        when the unit completes, so a unit still arriving has charged
-        nothing.
-        """
-        self.u_tau.sort(reverse=True)
-        self.raised += len(self.u_tau)
-        self.tau = self.u_tau[self.zs - 1][0]
-        del self.u_tau[self.zs :]
-
     def ingest_unit(self, lo: int, unit: np.ndarray | list[float]) -> None:
         """Label the whole unit ``t = lo, lo+1, …`` scoring ``unit``.
 
@@ -104,44 +90,51 @@ class TBUITracker:
 
         τ is raised as soon as U^τ reaches 2ζ* (initialising) or exceeds
         max(2ζ*, ζmax) (an uptrend), and the rest of the unit is then
-        held against the raised τ. The first round reads the whole unit;
-        after a raise, a round looks for the arrivals it needs in a window
-        that starts past the last one taken and doubles until it holds
-        enough, so a raise costs about the arrivals it consumes, not the
-        rest of the unit. U^τ is kept as unit offsets until the end.
+        held against the raised τ. τ, ``raised`` and ``flag`` depend only
+        on the scores kept, so the raises run on scores alone. The first
+        round reads the whole unit; a unit with fewer than ``cap`` hits
+        keeps them as U^τ. Otherwise the first ``cap`` hits are
+        partitioned at ``cap − ζ*``, and the ζ* kept scores go to the upper
+        half of a 2ζ* buffer. Each later raise finds the next ζ* hits in a
+        window past the last one taken, doubling it while it holds fewer,
+        copies their scores into the lower half and partitions the buffer
+        in place at ζ*: τ is ``buf[ζ*]`` and the kept scores stay above it.
+
+        Once τ is final, U^τ is read once: every arrival in the unit
+        scoring at least τ. Algorithm 2 would have dropped the oldest ties
+        at τ at a raise, but each of those is outranked by ζ* > k kept
+        entries, so it can neither reach the top-k summary nor change the
+        ``len(U^τ) ≥ k`` label; that trim is therefore not made.
         """
         zs = self.zs
-        kept = None  # U^τ after the last raise, as offsets into the unit
-        at = 0  # the first offset not yet looked at
-        width = len(unit)  # a unit that raises no τ is read in one pass
-        while True:
-            cap = 2 * zs if self.flag else max(2 * zs, self.zmax) + 1
-            need = cap if kept is None else cap - zs
-            while True:
-                hit = (unit[at : at + width] >= self.tau).nonzero()[0]
-                if len(hit) >= need or at + width >= len(unit):
-                    break
-                width *= 2
-            hit += at
-            if len(hit) < need:
-                break
-            # U^τ reaches cap entries at its need-th new one
-            new = hit[:need]
-            pos = new if kept is None else np.concatenate((kept, new))
-            at = int(hit[need - 1]) + 1
-            val = unit[pos]
+        hit = (unit >= self.tau).nonzero()[0]
+        cap = 2 * zs if self.flag else max(2 * zs, self.zmax) + 1
+        if len(hit) >= cap:
+            val = unit[hit[:cap]]
+            val.partition(cap - zs)
+            self.tau = float(val[cap - zs])
             self.raised += cap
-            # τ ← ζ*-th highest; keep the ζ* best by (score, t)
-            order = np.argpartition(val, cap - zs)
-            self.tau = float(val[order[cap - zs]])
-            if np.count_nonzero(val >= self.tau) > zs:
-                # scores tie at τ: the newest of the ties are kept
-                order = np.lexsort((pos, val))
-            kept = pos[order[cap - zs :]]
             self.flag = True
-            width = zs  # the next round needs ζ* more
-        pos = hit if kept is None else np.concatenate((kept, hit))
-        self.u_tau = list(zip(unit[pos].tolist(), (pos + lo).tolist()))
+            buf = np.empty(2 * zs)
+            buf[zs:] = val[cap - zs :]
+            at = int(hit[cap - 1]) + 1  # the first offset not yet looked at
+            while True:
+                width = zs
+                while True:
+                    seg = unit[at : at + width]
+                    new = (seg >= self.tau).nonzero()[0]
+                    if len(new) >= zs or at + width >= len(unit):
+                        break
+                    width *= 2
+                if len(new) < zs:
+                    break
+                buf[:zs] = seg[new[:zs]]
+                at += int(new[zs - 1]) + 1
+                buf.partition(zs)
+                self.tau = float(buf[zs])
+                self.raised += 2 * zs
+            hit = (unit >= self.tau).nonzero()[0]
+        self.u_tau = list(zip(unit[hit].tolist(), (hit + lo).tolist()))
 
     def _complete_unit(
         self, start: int, end: int, unit_max: tuple[float, int]

@@ -3,12 +3,15 @@ import hashlib
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.metrics import METRIC_COLUMNS, Metrics
 from repro.core.query import TopKQuery
 from repro.streams.datasets import DATASETS, gen_stream
-from repro.streams.runner import run_stream
+from repro.streams.runner import make_algorithm, run_stream
 
 
 def test_memory_model():
@@ -216,3 +219,40 @@ def test_sap_windows_pinned_high_speed(variant):
         for w in r.results:
             h.update((",".join(map(str, w.tolist())) + "\n").encode())
     assert h.hexdigest() == _PINNED_WINDOWS_SHA256_HIGH_SPEED
+
+
+@st.composite
+def _count_case(draw):
+    s = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    n = s * draw(st.integers(min_value=2, max_value=30))
+    k = draw(st.integers(min_value=1, max_value=min(n, 12)))
+    length = n + s * draw(st.integers(min_value=1, max_value=3 * n // s))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ties", "random", "up", "down"]))
+    if kind == "ties":
+        scores = rng.integers(0, 4, length).astype(np.float64)
+    elif kind == "random":
+        scores = rng.random(length)
+    else:
+        scores = np.cumsum(rng.integers(0, 3, length)).astype(np.float64)
+        if kind == "down":
+            scores = scores[::-1].copy()
+    return TopKQuery(n=n, k=k, s=s), scores
+
+
+@settings(max_examples=100, deadline=None)
+@given(_count_case(), st.sampled_from(sorted(_SAP_VARIANTS)))
+def test_sap_candidate_count_is_alive_entries(case, variant):
+    """candidate_count() is the number of distinct alive objects held in
+    C ∪ P_rear^k ∪ M_0 after every window, expired ones under an alive
+    M_0 top left out."""
+    q, scores = case
+    algo_name, opts = _SAP_VARIANTS[variant]
+    algo = make_algorithm(algo_name, q, **opts)
+    algo.attach(scores)
+    for _ in algo.windows(0, q.num_windows(len(scores))):
+        m = algo.sealed[0].m if algo.sealed else None
+        held = [t for _, t in algo.C.iter_desc()] + [t for _, t in algo.rear.topk]
+        held += [t for st_ in (m.stacks if m else []) for _, t in st_]
+        alive = {t for t in held if t >= algo.window_start}
+        assert algo.candidate_count() == len(alive)

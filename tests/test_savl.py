@@ -89,11 +89,12 @@ def test_sorted_list_is_one_stack():
     assert ms.peek_max(0) == (3.0, 5)
     assert ms.pop_max(0) == (3.0, 5)
     assert ms.pop_max(0) == (2.0, 7)
-    assert ms.size() == 1
+    assert ms.size(0) == 1
 
 
 def test_expired_top_over_alive_entry():
     ms = m0([sorted([(3.0, 1), (2.0, 9)])])
+    assert ms.size(5) == 1
     # 3.0@1 expired → best alive is 2.0@9
     assert ms.pop_max(5) == (2.0, 9)
     assert ms.pop_max(5) is None
@@ -107,7 +108,7 @@ def test_meaningful_set_composes():
     assert ms.pop_max(0) == (4.0, 8)
     vals = list(ms.iter_desc(0))
     assert vals == sorted(vals, reverse=True)
-    assert ms.size() == 2
+    assert ms.size(0) == 2
 
 
 def test_meaningful_set_empty():
@@ -115,7 +116,7 @@ def test_meaningful_set_empty():
     assert ms.pop_max(0) is None
     assert ms.peek_max(0) is None
     assert list(ms.iter_desc(0)) == []
-    assert ms.size() == 0
+    assert ms.size(0) == 0
 
 
 _SOURCE = st.one_of(
@@ -175,5 +176,5 @@ def test_queries_match_brute_force(sources, ops, rnd):
         else:
             got = list(islice(ms.iter_desc(min_t), reads))
             assert got == alive[:reads]
-        # size counts expired entries until they surface, never fewer
-        assert ms.size() >= sum(1 for e in stored if e[1] >= min_t)
+        # size counts the alive entries, also those under an expired top
+        assert ms.size(min_t) == sum(1 for e in stored if e[1] >= min_t)

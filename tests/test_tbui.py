@@ -1,32 +1,46 @@
 """Unit tests for TBUI k-unit identification (core/tbui.py)."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.metrics import Metrics
+from repro.core.partitioning import unit_size
+from repro.core.query import TopKQuery
 from repro.core.tbui import TBUITracker
+from repro.harness.grids import HIGH_SPEED
+from repro.streams.datasets import gen_stream
 
 
-def drive(scores, k=5, lmin=50):
+def drive(scores, k=5, lmin=50, tracker=TBUITracker):
     """Feed the whole units of ``scores``; a partial last unit is left out."""
-    tr = TBUITracker(k, Metrics())
+    tr = tracker(k, Metrics())
     for lo in range(0, len(scores) - lmin + 1, lmin):
         tr.ingest_unit(lo, scores[lo : lo + lmin])
     return tr
 
 
-def reference_drive(scores, k, lmin):
+def raise_tau(tr):
+    """Algorithm 2's median-search on the list U^τ: τ ← ζ*-th highest by
+    ``(score, t)``, keep the ζ* best, charge the entries sorted."""
+    tr.u_tau.sort(reverse=True)
+    tr.raised += len(tr.u_tau)
+    tr.tau = tr.u_tau[tr.zs - 1][0]
+    del tr.u_tau[tr.zs :]
+
+
+def reference_drive(scores, k, lmin, tracker=TBUITracker):
     """Algorithm 2 lines 3–9 stepped one object at a time."""
-    tr = TBUITracker(k, Metrics())
+    tr = tracker(k, Metrics())
     unit_max = (float("-inf"), -1)
     for t, sc in enumerate(float(x) for x in scores):
         unit_max = max(unit_max, (sc, t))
         if sc >= tr.tau:
             tr.u_tau.append((sc, t))
             if tr.flag and len(tr.u_tau) == 2 * tr.zs:
-                tr._raise_tau()
+                raise_tau(tr)
             elif not tr.flag and len(tr.u_tau) > max(2 * tr.zs, tr.zmax):
-                tr._raise_tau()
+                raise_tau(tr)
                 tr.flag = True
         if (t + 1) % lmin == 0:
             tr._complete_unit(t + 1 - lmin, t + 1, unit_max)
@@ -56,23 +70,32 @@ def test_runs_match_one_at_a_time(vals, k, lmin):
 
 @st.composite
 def long_units(draw):
-    """Whole units of 200–800 objects that rise or step, so that τ is
-    raised many times within a unit, with ties at τ."""
-    k = draw(st.integers(min_value=1, max_value=8))
-    lmin = draw(st.integers(min_value=200, max_value=800))
+    """Whole units of 200–1800 objects that rise or step, so that τ is
+    raised many times within a unit, with ties at τ; k up to the
+    benchmark's 50 (ζ* = 77)."""
+    k = draw(st.integers(min_value=1, max_value=50))
+    lmin = draw(st.integers(min_value=200, max_value=800)) + 20 * k
     length = lmin * draw(st.integers(min_value=1, max_value=4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["rising", "noisy-rising", "stepped"]))
+    kind = draw(
+        st.sampled_from(["rising", "noisy-rising", "stepped", "plateaus"])
+    )
     if kind == "rising":
         # plateaus of equal scores
         scores = np.cumsum(rng.integers(0, 3, length))
     elif kind == "noisy-rising":
         scores = np.arange(length) // 4 + rng.integers(0, 8, length)
-    else:
+    elif kind == "stepped":
         # level blocks that go up and down: raises, then restarts
         steps = rng.integers(10, 120, length // 10 + 1)
         levels = rng.integers(0, 6, len(steps)) * 10
         scores = np.repeat(levels, steps)[:length] + rng.integers(0, 3, length)
+    else:
+        # rising blocks of up to 400 equal scores: a unit often ends with
+        # more than ζ* arrivals tied at its final τ
+        widths = rng.integers(1, 400, length)
+        levels = np.cumsum(rng.integers(0, 3, length))
+        scores = np.repeat(levels, widths)[:length]
     return np.asarray(scores, dtype=np.float64) / 2, k, lmin
 
 
@@ -84,6 +107,33 @@ def test_long_rising_units_match_one_at_a_time(case):
     scores, k, lmin = case
     expected = _state(reference_drive(scores, k, lmin))
     assert _state(drive(scores, k, lmin)) == expected
+
+
+class RecordingTBUI(TBUITracker):
+    """Records τ, ``flag`` and the raises' charge as each unit completes."""
+
+    def __init__(self, k, metrics):
+        super().__init__(k, metrics)
+        self.history = []
+
+    def _complete_unit(self, start, end, unit_max):
+        self.history.append((start, self.tau, self.flag, self.raised))
+        super()._complete_unit(start, end, unit_max)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_high_speed_stream_matches_one_at_a_time(seed):
+    """The benchmark's high-speed query (TIMER, k = 50, 4 200-object
+    units): about twenty τ raises a unit, fifty in an uptrend. τ, ``flag``
+    and the charge match at the end of every unit, not only the last."""
+    q = TopKQuery(n=HIGH_SPEED.n_default, k=50, s=HIGH_SPEED.s_default)
+    scores = gen_stream("TIMER", HIGH_SPEED.length, seed=seed)
+    lmin = unit_size(q)
+    whole = len(scores) // lmin * lmin
+    ref = reference_drive(scores[:whole], q.k, lmin, RecordingTBUI)
+    got = drive(scores, q.k, lmin, RecordingTBUI)
+    assert got.history == ref.history
+    assert _state(got) == _state(ref)
 
 
 def test_labels_tile_the_stream():
@@ -194,9 +244,9 @@ class PythonRunTBUI(TBUITracker):
                     if e[0] >= self.tau:
                         u_tau.append(e)
                         if self.flag and len(u_tau) == 2 * self.zs:
-                            self._raise_tau()
+                            raise_tau(self)
                         elif not self.flag and len(u_tau) > max(2 * self.zs, self.zmax):
-                            self._raise_tau()
+                            raise_tau(self)
                             self.flag = True
             self.unit_count += j - i
             i = j
