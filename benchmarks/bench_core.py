@@ -8,18 +8,23 @@ and ``gen_stream``:
 * ``stock``   — STOCK at the regular defaults with s=24, the query the
   Spark operators run.
 
-Each case times ``run_stream("sap-enhanced", …)`` over a few rounds and
-checks every emitted window against the numpy naive re-sort. A case
-takes a few seconds, most of it the naive reference. Run with
+Each ``test_sap_stream`` case times ``run_stream("sap-enhanced", …)``
+over a few rounds; each ``test_driver_emission`` case times the same
+stream fed to an ``IncrementalDriver`` in 10 chunks, plus framing its
+rows as the Spark operators do (``pd.DataFrame(rows)``). Both check
+every emitted window against the numpy naive re-sort. A case takes a
+few seconds, most of it the naive reference. Run with
 ``pytest benchmarks/bench_core.py``.
 """
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.naive import all_windows_topk
 from repro.core.query import TopKQuery
 from repro.harness.grids import HIGH_SPEED, REGULAR
 from repro.streams.datasets import gen_stream
+from repro.streams.incremental import IncrementalDriver
 from repro.streams.runner import run_stream
 
 SHAPES = {
@@ -44,3 +49,25 @@ def test_sap_stream(benchmark, shape):
     assert len(result.results) == len(expected)
     for got, want in zip(result.results, expected):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_driver_emission(benchmark, shape):
+    ds, spec, s = SHAPES[shape]
+    q = TopKQuery(n=spec.n_default, k=spec.k_default, s=s)
+    scores = gen_stream(ds, spec.length, seed=spec.seed)
+    chunks = np.array_split(scores, 10)
+
+    def feed_and_frame():
+        drv = IncrementalDriver("sap-enhanced", q)
+        return [pd.DataFrame(drv.feed(c)) for c in chunks]
+
+    frames = benchmark.pedantic(
+        feed_and_frame, rounds=5, iterations=1, warmup_rounds=1
+    )
+    frame = pd.concat(frames)
+    expected = all_windows_topk(scores, q)
+    assert len(frame) == len(expected) * q.k
+    got = frame["t"].to_numpy().reshape(len(expected), q.k)
+    for j, want in enumerate(expected):
+        assert np.array_equal(got[j], want)

@@ -24,6 +24,7 @@ from repro.core.query import TopKQuery
 from repro.streams.incremental import IncrementalDriver
 from repro.streams.runner import make_algorithm
 
+#: ``stream_id``, then the fields of the driver's rows (``ROW_DTYPE``)
 RESULT_SCHEMA = StructType(
     [
         StructField("stream_id", LongType()),
@@ -62,14 +63,8 @@ def continuous_topk_operator(
                 "(no gap, no repeat, starting at 0)"
             )
         drv = IncrementalDriver(algo, TopKQuery(n=n, k=k, s=s), **opts)
-        out = pd.DataFrame(
-            [(sid, *row) for row in drv.feed(pdf["score"].to_numpy())],
-            columns=["stream_id", "window_id", "rank", "t", "score"],
-        )
-        if out.empty:  # stream shorter than one window
-            out = out.astype(
-                {c: "int64" for c in out.columns[:-1]} | {"score": "float64"}
-            )
+        out = pd.DataFrame(drv.feed(pdf["score"].to_numpy()))
+        out.insert(0, "stream_id", sid)
         return out
 
     return stream_df.groupBy("stream_id").applyInPandas(

@@ -15,8 +15,9 @@ behind a missing ``t`` fail the query, as a gap fails the batch
 operator, so the buffer stays bounded by the window size.
 
 Every completed window's top-k is emitted in the batch that completes
-it, in ``(stream_id, window_id, rank, t, score)`` rows — the same shape
-as the batch operator and the Catalyst reference, so all three are
+it: the driver's ``ROW_DTYPE`` rows, framed as they are, with the
+``stream_id`` put in front — the same ``RESULT_SCHEMA`` rows as the
+batch operator and the Catalyst reference, so all three are
 oracle-comparable.
 """
 from __future__ import annotations
@@ -105,13 +106,12 @@ def _make_func(q: TopKQuery, algo: str, opts: dict):
             q.n,
             sid,
         )
-        rows = drv.feed(pd.Series(chunk, dtype="float64").to_numpy())
+        rows = drv.feed(chunk)
         state.update((pickle.dumps({"drv": drv, **stage}),))
-        if rows:
-            yield pd.DataFrame(
-                [(sid, w, r, t, sc) for (w, r, t, sc) in rows],
-                columns=["stream_id", "window_id", "rank", "t", "score"],
-            )
+        if len(rows):
+            out = pd.DataFrame(rows)
+            out.insert(0, "stream_id", sid)
+            yield out
 
     return update
 

@@ -8,6 +8,9 @@ rejects non-finite scores) and emits every window that the chunk
 completes, through the algorithm's one window loop
 (``StreamTopK.windows``).
 
+Each feed returns one ``ROW_DTYPE`` record array, which both Spark
+operators frame as it is (``pd.DataFrame(rows)``).
+
 The algorithm holds the only copy of the stream, so the driver pickles
 as it is; that is what lets the Structured Streaming operator park it in
 GroupState between micro-batches.
@@ -22,6 +25,13 @@ from repro.core.query import TopKQuery
 from repro.streams.runner import make_algorithm
 
 
+#: one emitted row: rank ``rank`` (1 = best) of window ``window_id`` is
+#: the arrival ``t``, which has score ``score``
+ROW_DTYPE = np.dtype(
+    [("window_id", "i8"), ("rank", "i8"), ("t", "i8"), ("score", "f8")]
+)
+
+
 class IncrementalDriver:
     """Stateful wrapper turning chunk feeds into per-window emissions."""
 
@@ -30,23 +40,26 @@ class IncrementalDriver:
         self.algo = make_algorithm(algo, q, **opts)
         self.next_window = 0
 
-    def feed(self, scores: np.ndarray) -> list[tuple[int, int, int, float]]:
-        """Append arrivals (in order); return (window, rank, t, score) rows.
+    def feed(self, scores: np.ndarray) -> np.ndarray:
+        """Append arrivals (in order); return their windows' ``ROW_DTYPE`` rows.
 
+        ``k`` rows per window the chunk completes, best rank first.
         Raises ``ValueError`` when the chunk holds a NaN or ±inf score;
         nothing of it is taken, so feeding can go on with clean data.
         """
-        algo = self.algo
+        algo, k = self.algo, self.q.k
         algo.extend(scores)
-        j1 = self.q.num_windows(len(algo.scores))
-        out: list[tuple[int, int, int, float]] = []
-        for ids in algo.windows(self.next_window, j1):
+        j0, j1 = self.next_window, self.q.num_windows(len(algo.scores))
+        ids = np.empty((j1 - j0, k), dtype=np.int64)
+        for i, top in enumerate(algo.windows(j0, j1)):
             algo.metrics.sample(algo.candidate_count())
-            out += [
-                (self.next_window, r + 1, int(t), float(algo.scores[t]))
-                for r, t in enumerate(ids)
-            ]
-            self.next_window += 1
+            ids[i] = top
+        self.next_window = j1
+        out = np.empty(ids.size, dtype=ROW_DTYPE)
+        out["window_id"] = np.repeat(np.arange(j0, j1), k)
+        out["rank"] = np.tile(np.arange(1, k + 1), j1 - j0)
+        out["t"] = ids.ravel()
+        out["score"] = algo.scores[out["t"]]
         return out
 
     # -- pickling for GroupState -----------------------------------------

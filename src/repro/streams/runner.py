@@ -42,14 +42,6 @@ class RunResult:
     metrics: Metrics
     results: list[np.ndarray] = field(default_factory=list)  # per window
 
-    def results_rows(self) -> list[tuple[int, int, int]]:
-        """Flatten to (window_id, rank, t) rows for DataFrame export."""
-        return [
-            (j, r + 1, int(t))
-            for j, ids in enumerate(self.results)
-            for r, t in enumerate(ids)
-        ]
-
 
 def make_algorithm(name: str, q: TopKQuery, **opts) -> StreamTopK:
     """Instantiate a registered algorithm."""

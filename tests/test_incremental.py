@@ -2,13 +2,16 @@
 import pickle
 
 import numpy as np
+import pandas as pd
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from pyspark.sql.types import DoubleType, LongType
 
 from repro.core.query import TopKQuery
+from repro.spark.operator import RESULT_SCHEMA
 from repro.streams.datasets import gen_stream
-from repro.streams.incremental import IncrementalDriver
+from repro.streams.incremental import ROW_DTYPE, IncrementalDriver
 from repro.streams.runner import ALGORITHMS, run_stream
 
 
@@ -16,7 +19,7 @@ def feed_in_chunks(algo, q, scores, chunk):
     drv = IncrementalDriver(algo, q)
     rows = []
     for off in range(0, len(scores), chunk):
-        rows.extend(drv.feed(scores[off : off + chunk]))
+        rows.extend(drv.feed(scores[off : off + chunk]).tolist())
     return rows
 
 
@@ -40,25 +43,52 @@ def test_chunking_invariant(chunk, algo):
 def test_empty_feed_is_noop():
     q = TopKQuery(n=40, k=4, s=4)
     drv = IncrementalDriver("sap-equal", q)
-    assert drv.feed(np.empty(0)) == []
+    assert drv.feed(np.empty(0)).tolist() == []
 
 
 def test_no_emission_before_first_window():
     q = TopKQuery(n=40, k=4, s=4)
     drv = IncrementalDriver("sap-equal", q)
     scores = gen_stream("TIMEU", 40, seed=0)
-    assert drv.feed(scores[:39]) == []
-    assert drv.feed(scores[39:]) == reference_rows(q, scores)  # window 0
+    assert drv.feed(scores[:39]).tolist() == []
+    assert drv.feed(scores[39:]).tolist() == reference_rows(q, scores)  # window 0
+
+
+def test_rows_are_the_result_schema_less_stream_id():
+    assert RESULT_SCHEMA.fieldNames() == ["stream_id", *ROW_DTYPE.names]
+    spark_type = {"i": LongType(), "f": DoubleType()}
+    assert [f.dataType for f in RESULT_SCHEMA.fields] == [
+        LongType(), *(spark_type[ROW_DTYPE[c].kind] for c in ROW_DTYPE.names)
+    ]
+
+
+def test_feed_completing_no_window_frames_typed_columns():
+    drv = IncrementalDriver("sap-equal", TopKQuery(n=40, k=4, s=4))
+    rows = drv.feed(gen_stream("TIMEU", 39, seed=0))
+    assert rows.dtype == ROW_DTYPE and len(rows) == 0
+    assert pd.DataFrame(rows).dtypes.to_dict() == {
+        "window_id": np.int64, "rank": np.int64, "t": np.int64, "score": np.float64,
+    }
+
+
+def test_rows_unpack_into_four_values():
+    # the traced perfbench pass reads them as ``for w, r, t, _ in out``
+    q = TopKQuery(n=40, k=4, s=4)
+    scores = gen_stream("STOCK", 120, seed=1)
+    rows = IncrementalDriver("sap-enhanced", q).feed(scores)
+    assert [
+        (int(w), int(r), int(t), float(sc)) for w, r, t, sc in rows
+    ] == reference_rows(q, scores)
 
 
 def test_pickle_roundtrip_mid_stream():
     q = TopKQuery(n=40, k=4, s=4)
     scores = gen_stream("TRIP", 200, seed=2)
     drv = IncrementalDriver("sap-enhanced", q)
-    rows = list(drv.feed(scores[:100]))
+    rows = drv.feed(scores[:100]).tolist()
     blob = drv.dumps()
     drv2 = IncrementalDriver.loads(blob)
-    rows += drv2.feed(scores[100:])
+    rows += drv2.feed(scores[100:]).tolist()
     assert rows == reference_rows(q, scores)
 
 
@@ -66,9 +96,9 @@ def test_pickle_before_warmup():
     q = TopKQuery(n=40, k=4, s=4)
     scores = gen_stream("TRIP", 200, seed=3)
     drv = IncrementalDriver("sap-enhanced", q)
-    assert drv.feed(scores[:10]) == []
+    assert drv.feed(scores[:10]).tolist() == []
     drv2 = IncrementalDriver.loads(drv.dumps())
-    rows = drv2.feed(scores[10:])
+    rows = drv2.feed(scores[10:]).tolist()
     assert rows == reference_rows(q, scores)
 
 
@@ -79,13 +109,13 @@ def test_non_finite_chunk_rejected(bad, warm):
     scores = gen_stream("STOCK", 160, seed=3)
     drv = IncrementalDriver("sap-enhanced", q)
     split = 80 if warm else 20
-    rows = drv.feed(scores[:split])
+    rows = drv.feed(scores[:split]).tolist()
     chunk = scores[split : split + 8].copy()
     chunk[5] = bad
     with pytest.raises(ValueError, match="finite"):
         drv.feed(chunk)
     # the rejected chunk left no trace: the clean stream still matches
-    rows += drv.feed(scores[split:])
+    rows += drv.feed(scores[split:]).tolist()
     assert rows == reference_rows(q, scores)
 
 
@@ -96,7 +126,7 @@ def test_pickle_roundtrip_with_warm_report_cache(algo):
     drv = IncrementalDriver(algo, q)
     rows = []
     for off in range(0, len(scores), 30):
-        rows += drv.feed(scores[off : off + 30])
+        rows += drv.feed(scores[off : off + 30]).tolist()
         if off == 270:
             assert drv.algo._report is not None  # the cache is warm
             drv = IncrementalDriver.loads(drv.dumps())
@@ -128,7 +158,7 @@ def test_any_chunking_and_roundtrips_match_run_stream(algo, case):
     drv = IncrementalDriver(algo, q)
     rows = []
     for chunk, trip in zip(chunks, trips):
-        rows += drv.feed(chunk)
+        rows += drv.feed(chunk).tolist()
         if trip:
             drv = IncrementalDriver.loads(drv.dumps())
     assert rows == reference_rows(q, scores)

@@ -2,12 +2,30 @@
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import PythonException
+from pyspark.sql import functions as F
 
 from repro.core.query import TopKQuery
 from repro.oracle import assert_equivalent
 from repro.spark.operator import continuous_topk_operator
 from repro.spark.topk_sql import continuous_topk_sql, windowed_topk_oracle_sql
 from repro.streams.datasets import stream_pdf
+from repro.streams.runner import ALGORITHMS
+
+#: the hostile scores each operator rejects; Arrow hands a null to
+#: pandas as NaN
+NON_FINITE = pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf"), None],
+    ids=["nan", "inf", "-inf", "null"],
+)
+
+
+def tied_stream_pdf():
+    """STOCK seed 8 scaled to its max and rounded to one decimal: 120
+    arrivals with only 9 distinct scores, so most windows break ties."""
+    pdf = stream_pdf("STOCK", 120, seed=8)
+    pdf["score"] = (pdf["score"] / pdf["score"].max()).round(1)
+    return pdf
 
 
 @pytest.mark.parametrize(
@@ -80,3 +98,25 @@ def test_operator_rejects_unknown_option(spark):
             spark.createDataFrame(pdf), TopKQuery(n=20, k=3, s=4),
             algo="kskyband", delay=False,
         )
+
+
+@NON_FINITE
+def test_operator_rejects_non_finite_scores(spark, bad):
+    q = TopKQuery(n=40, k=4, s=4)
+    df = spark.createDataFrame(stream_pdf("TIMEU", 123, seed=1))
+    # t = 10 lies in windows; t = 121 only in the tail after the last one
+    for pos in (10, 121):
+        score = F.when(F.col("t") == pos, F.lit(bad).cast("double"))
+        out = continuous_topk_operator(
+            df.withColumn("score", score.otherwise(F.col("score"))), q
+        )
+        with pytest.raises(PythonException, match="scores must be finite"):
+            out.collect()
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_operator_matches_duckdb_on_tied_scores(spark, algo):
+    q = TopKQuery(n=40, k=4, s=4)
+    pdf = tied_stream_pdf()
+    out = continuous_topk_operator(spark.createDataFrame(pdf), q, algo=algo)
+    assert_equivalent(out, windowed_topk_oracle_sql(q), stream=pdf)

@@ -34,15 +34,6 @@ def test_collect_results_flag():
     assert without.metrics.windows_sampled == q.num_windows(120)
 
 
-def test_results_rows_flatten():
-    q = TopKQuery(n=40, k=3, s=20)
-    scores = gen_stream("TIMEU", 80, seed=0)
-    r = run_stream("naive", scores, q)
-    rows = r.results_rows()
-    assert len(rows) == q.num_windows(80) * q.k
-    assert rows[0][0] == 0 and rows[0][1] == 1  # window 0, rank 1
-
-
 def test_wall_time_recorded():
     q = TopKQuery(n=40, k=4, s=4)
     scores = gen_stream("STOCK", 200, seed=0)

@@ -231,9 +231,9 @@ def test_driver_fed_one_slide_at_a_time_matches_attach(variant, ds, chunk):
     q = TopKQuery(n=240, k=10, s=4)
     scores = gen_stream(ds, 2400, seed=5)
     drv = IncrementalDriver(algo, q, **opts)
-    rows = drv.feed(scores[: q.n])
+    rows = drv.feed(scores[: q.n]).tolist()
     for lo in range(q.n, len(scores), chunk):
-        rows += drv.feed(scores[lo : lo + chunk])
+        rows += drv.feed(scores[lo : lo + chunk]).tolist()
     whole = run_stream(algo, scores, q, **opts)
     assert [t for _, _, t, _ in rows] == [int(t) for w in whole.results for t in w]
     fed = drv.algo.metrics.as_row()

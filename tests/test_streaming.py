@@ -4,6 +4,8 @@ import time
 
 import pandas as pd
 import pytest
+from pyspark.errors import StreamingQueryException
+from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.core.query import TopKQuery
@@ -15,6 +17,7 @@ from repro.spark.streaming_op import (
 )
 from repro.spark.topk_sql import windowed_topk_oracle_sql
 from repro.streams.datasets import stream_pdf
+from tests.test_operator import NON_FINITE, tied_stream_pdf
 
 SCHEMA = StructType(
     [
@@ -33,20 +36,30 @@ def _run_streaming(spark, tmp_path, pdf, q, n_chunks, name):
     return _run_chunks(spark, tmp_path, chunks, q, name)
 
 
-def _run_chunks(spark, tmp_path, chunks, q, name):
-    """Stream one parquet file per chunk, in order, one per micro-batch."""
-    src = tmp_path / "in"
-    src.mkdir()
-    for i, chunk in enumerate(chunks):
+def _stage(src, chunks, first=0):
+    """Write one parquet file per chunk, in order, numbered from ``first``."""
+    src.mkdir(exist_ok=True)
+    for i, chunk in enumerate(chunks, first):
         if len(chunk):
             chunk.to_parquet(src / f"chunk-{i:04d}.parquet")
             time.sleep(0.02)  # distinct mtimes keep file-source order
-    sdf = (
+
+
+def _source(spark, src):
+    """The staged files as a stream, one file per micro-batch."""
+    return (
         spark.readStream.schema(SCHEMA)
         .option("maxFilesPerTrigger", 1)
         .parquet(str(src))
     )
-    out = continuous_topk_streaming(sdf, q, algo="sap-enhanced")
+
+
+def _run_chunks(spark, tmp_path, chunks, q, name):
+    """Stream one parquet file per chunk, in order, one per micro-batch."""
+    _stage(tmp_path / "in", chunks)
+    out = continuous_topk_streaming(
+        _source(spark, tmp_path / "in"), q, algo="sap-enhanced"
+    )
     query = (
         out.writeStream.format("memory")
         .queryName(name)
@@ -87,6 +100,63 @@ def test_streaming_operator_drops_late_and_duplicate_rows(spark, tmp_path):
         pd.concat([bogus, repeat, pdf.iloc[90:100], pdf.iloc[110:]]),
     ]
     res = _run_chunks(spark, tmp_path, chunks, q, name="res_c")
+    assert_equivalent(res, windowed_topk_oracle_sql(q), stream=pdf)
+
+
+def test_streaming_operator_matches_duckdb_on_tied_scores(spark, tmp_path):
+    q = TopKQuery(n=40, k=4, s=4)
+    pdf = tied_stream_pdf()
+    res = _run_streaming(spark, tmp_path, pdf, q, n_chunks=4, name="res_tied")
+    assert_equivalent(res, windowed_topk_oracle_sql(q), stream=pdf)
+
+
+@NON_FINITE
+def test_streaming_operator_rejects_non_finite_scores(spark, tmp_path, bad):
+    q = TopKQuery(n=40, k=4, s=4)
+    pdf = stream_pdf("STOCK", 120, seed=8)
+    _stage(tmp_path / "in", [pdf.iloc[:60], pdf.iloc[60:]])
+    # t = 70 comes in the second micro-batch, to a stream with state
+    score = F.when(F.col("t") == 70, F.lit(bad).cast("double"))
+    sdf = _source(spark, tmp_path / "in")
+    out = continuous_topk_streaming(
+        sdf.withColumn("score", score.otherwise(F.col("score"))), q
+    )
+    query = (
+        out.writeStream.format("noop")
+        .option("checkpointLocation", str(tmp_path / "ckpt"))
+        .trigger(availableNow=True)
+        .start()
+    )
+    with pytest.raises(StreamingQueryException, match="scores must be finite"):
+        query.awaitTermination(180)
+
+
+def test_streaming_operator_restarts_from_its_checkpoint(spark, tmp_path):
+    q = TopKQuery(n=40, k=4, s=4)
+    pdf = stream_pdf("STOCK", 120, seed=8)
+    chunks = [pdf.iloc[i : i + 15] for i in range(0, 120, 15)]
+    src, sink = tmp_path / "in", tmp_path / "out"
+
+    def run():
+        """Drain the staged files into the parquet sink, then read it."""
+        query = (
+            continuous_topk_streaming(_source(spark, src), q)
+            .writeStream.format("parquet")
+            .option("path", str(sink))
+            .option("checkpointLocation", str(tmp_path / "ckpt"))
+            .trigger(availableNow=True)
+            .start()
+        )
+        query.awaitTermination(180)
+        return spark.read.parquet(str(sink))
+
+    _stage(src, chunks[:4])
+    assert run().count() == q.num_windows(60) * q.k
+    # the restart reads only the new files; its stream state (the
+    # pickled driver) comes back from the checkpoint
+    _stage(src, chunks[4:], first=4)
+    res = run()
+    assert res.count() == q.num_windows(120) * q.k
     assert_equivalent(res, windowed_topk_oracle_sql(q), stream=pdf)
 
 
