@@ -37,12 +37,16 @@ Cost shape: a slide's cost follows the events in it, not its ``s``
 objects (§3). Each of the two hooks keeps a horizon — the next arrival
 that can enter the rear's top-k or reach a boundary, and the next C
 member, reported object, deep-scan horizon or front end to expire — and
-returns at once on a slide that ends before it. TBUI labels each unit
-whole when the unit ends, and a split reads both halves' top-k without
-per-unit lists. Long ranges are read with numpy, so Python work follows
-the objects that can matter: an ingest run longer than k is cut to its
-own top-k before it is merged, and an M formation or deep scan offers
-the S-AVL only the objects at or above Fθ.
+returns at once on a slide that ends before it; the arrival horizon
+comes off a list of the next ≤ k arrivals that can enter, so one numpy
+scan serves up to k of them. The report is recomputed only when the
+window's top-k can change (TMA's rule, Mouratidis et al., SIGMOD 2006):
+a reported object expires or an arrival scores at or above the reported
+k-th. TBUI labels each unit whole when the unit ends, and a split reads
+both halves' top-k without per-unit lists. Long ranges are read with
+numpy, so Python work follows the objects that can matter: an ingest run
+longer than k is cut to its own top-k before it is merged, and an M
+formation or deep scan offers the S-AVL only the objects at or above Fθ.
 """
 from __future__ import annotations
 
@@ -120,14 +124,18 @@ class SAP(StreamTopK):
         # the rear's top-k when its newest unit began: the older half's
         # top-k when a split cuts that unit off (dynamic modes)
         self._unit_start_topk: list[tuple[float, int]] = []
-        # the last reported top-k ids (None once it may be stale) and
-        # their oldest t; see topk()
+        # the last reported top-k ids (None once it may be stale), their
+        # oldest t and k-th score; see topk()
         self._report: list[int] | None = None
         self._report_min_t = -1
+        self._report_kth = -math.inf
         # a slide ending at or before one of these has nothing to do in
         # that hook; see _ingest_range and _expire_range
         self._quiet_ingest = 0
         self._entered_until = -1  # hi of the last slide an arrival entered in
+        # see _next_ingest_event
+        self._ahead: list[tuple[float, int]] = []
+        self._ahead_end = 0
         self._quiet_expiry = 0
         if mode == "equal":
             self.part_size = equal_partition_size(q, m)
@@ -146,10 +154,13 @@ class SAP(StreamTopK):
         Work is done only at a unit boundary, at the hard cap ``n``,
         (equal mode) at the partition size, at a TBUI unit end and at an
         arrival that enters the rear's top-k. After each call that did
-        work, one numpy scan finds the next such arrival; a later call
-        that ends at or before it (``_quiet_ingest``) returns at once.
-        The scan stops short of the next boundary and unit end, and at
-        the arrivals extended so far.
+        work, ``_next_ingest_event`` finds the next such arrival; a later
+        call that ends at or before it (``_quiet_ingest``) returns at
+        once.
+
+        An entering arrival drops the report only when it scores at or
+        above the report's k-th score (being newer, it wins the tie); an
+        arrival that changes the window's top-k always enters.
 
         Every stretch between boundaries is one run: its entries at or
         above the rear's k-th score are merged into the rear's top-k with
@@ -183,10 +194,11 @@ class SAP(StreamTopK):
                 if max(run) >= floor:
                     entering = [(sc, t) for t, sc in enumerate(run, lo) if sc >= floor]
             if entering:
+                if max(entering)[0] >= self._report_kth:
+                    self._report = None
                 top += entering
                 top.sort()
                 del top[:-k]
-                self._report = None
                 self._entered_until = hi
             if self.tbui is not None:
                 for b in range((lo // u + 1) * u, end + 1, u):
@@ -217,18 +229,32 @@ class SAP(StreamTopK):
 
         A later call that ends at or before it has nothing to do: it is
         the first later arrival at or above the rear's k-th score, one
-        before the next boundary or TBUI unit end, or the end of the
-        arrivals extended so far, whichever comes first.
+        before the next boundary or TBUI unit end (``cap``), or the end of
+        the arrivals extended so far, whichever comes first.
+
+        ``_ahead`` holds the last scan's first ≤ k such arrivals as
+        ``(score, t)``, newest first; each call pops those behind ``hi``
+        or now below the k-th score, which only rises until the next
+        boundary, past ``cap``. An empty list is refilled by a scan from
+        ``_ahead_end``: ``cap``, or one past the newest entry of a list
+        cut at k.
         """
         cap = min(self._next_boundary(hi) - 1, len(self.scores))
         if self.tbui is not None:
             cap = min(cap, (hi // self.u_len + 1) * self.u_len - 1)
-        top, seg = self.rear.topk, self.scores[hi:cap]
-        if len(top) < self.q.k or not len(seg):
-            return hi  # every arrival enters the rear's top-k, or none is here
-        above = seg >= top[0][0]
-        i = int(above.argmax())
-        return hi + i if above[i] else cap
+        k, top, ahead = self.q.k, self.rear.topk, self._ahead
+        if len(top) < k:
+            return hi  # every arrival enters the rear's top-k
+        floor = top[0][0]
+        while ahead and (ahead[-1][1] < hi or ahead[-1][0] < floor):
+            ahead.pop()
+        lo = max(hi, self._ahead_end)
+        if not ahead and lo < cap:
+            seg = self.scores[lo:cap]
+            idx = (seg >= floor).nonzero()[0][:k]
+            ahead += zip(seg[idx].tolist()[::-1], (idx + lo).tolist()[::-1])
+            self._ahead_end = lo + int(idx[-1]) + 1 if len(idx) == k else cap
+        return ahead[-1][1] if ahead else cap
 
     def _at_boundary(self, end: int) -> None:
         """Seal, split or grow the rear once it holds ``[start, end)``."""
@@ -312,7 +338,6 @@ class SAP(StreamTopK):
             assert part.end is not None
             part.labels = self.tbui.labels_for(part.start, part.end)
         inserted, refined = self.C.merge_topk(part.topk_desc(), self.q.k)
-        self._report = None
         self.metrics.insertions += inserted
         self.metrics.deletions += refined
         self.metrics.examined += len(self.C)
@@ -349,9 +374,8 @@ class SAP(StreamTopK):
         if not front.prepared:
             self._ready_front(front)
         if lo <= self._report_min_t < hi:
-            # the first reported object to expire is the report's oldest.
-            # It usually leaves from C, which drops the report below
-            # anyway; this also covers one still held in M_0.
+            # the first reported object to expire is the report's oldest;
+            # other expiries leave the window's top-k as it is
             self._report = None
         C, m, scores = self.C, front.m, self.scores
         ts = front.cand_ts
@@ -378,7 +402,6 @@ class SAP(StreamTopK):
             heapq.heappop(gone)
             C.remove(float(scores[t]), t)
             self.metrics.deletions += 1
-            self._report = None
             if m is not None:
                 promoted = m.pop_max(t + 1)
                 if promoted is not None:
@@ -392,7 +415,6 @@ class SAP(StreamTopK):
                             ts.insert(j, promoted[1])
         if hi == front.end:
             self.sealed.popleft()
-            self._report = None
             if self.tbui is not None:
                 self.tbui.drop_before(hi)
             self._quiet_expiry = 0
@@ -425,7 +447,6 @@ class SAP(StreamTopK):
         if self.delay and rho < self.q.k:
             f_theta = self._f_theta(front)
             front.m = self._form_meaningful(front, rho, f_theta)
-            self._report = None
 
     def _f_theta(self, part: SAPPartition) -> float:
         """Global pruning bound Fθ (Lemma 2): k-th best of W − P."""
@@ -569,16 +590,15 @@ class SAP(StreamTopK):
                 skip={t for _, t in lab.summary},
             )
             front.m.add(deep.stacks)
-            self._report = None
 
     # ------------------------------------------------------------ results
     def topk(self) -> list[int]:
         """The window's top-k: a copy of the cached report when still valid.
 
-        The report is the top-k of ``C ∪ P_rear^k ∪ M_0``. It is dropped
-        whenever one of these may change it: ``C`` changes, an arrival
-        enters the rear's top-k, the front's M set is formed, grows or
-        leaves with the front, or a reported object expires.
+        The report is the top-k of ``C ∪ P_rear^k ∪ M_0``, which holds
+        the window's top-k. It is dropped only when that can change: the
+        report's oldest ``t`` expires, or an arrival scores at or above
+        its k-th score. Seals, ``C`` changes and ``M_0`` work keep it.
         """
         if self._report is None:
             k = self.q.k
@@ -591,6 +611,7 @@ class SAP(StreamTopK):
                 merged = sorted(merged, reverse=True)[:k]
             self._report = [t for _, t in merged]
             self._report_min_t = min(self._report)
+            self._report_kth = merged[-1][0]
             self._quiet_expiry = min(self._quiet_expiry, self._report_min_t)
         return list(self._report)
 

@@ -2,6 +2,8 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from pyspark.errors import PythonException
 from pyspark.sql import functions as F
 
@@ -120,3 +122,44 @@ def test_operator_matches_duckdb_on_tied_scores(spark, algo):
     pdf = tied_stream_pdf()
     out = continuous_topk_operator(spark.createDataFrame(pdf), q, algo=algo)
     assert_equivalent(out, windowed_topk_oracle_sql(q), stream=pdf)
+
+
+@st.composite
+def tied_streams(draw):
+    """A few streams on at most three distinct scores; maybe one non-finite."""
+    s = draw(st.integers(min_value=1, max_value=4))
+    n = s * draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=min(n, 4)))
+    levels = draw(st.integers(min_value=1, max_value=3))
+    frames = []
+    for sid in range(draw(st.integers(min_value=1, max_value=3))):
+        scores = draw(st.lists(
+            st.integers(min_value=0, max_value=levels - 1),
+            min_size=n, max_size=3 * n,
+        ))
+        frames.append(pd.DataFrame({
+            "stream_id": np.full(len(scores), sid, dtype=np.int64),
+            "t": np.arange(len(scores), dtype=np.int64),
+            "score": np.asarray(scores, dtype=np.float64),
+        }))
+    pdf = pd.concat(frames, ignore_index=True)
+    bad = draw(st.sampled_from([None, float("nan"), float("inf"), float("-inf")]))
+    if bad is not None:
+        pdf.loc[draw(st.integers(0, len(pdf) - 1)), "score"] = bad
+    return TopKQuery(n=n, k=k, s=s), pdf, bad is not None
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=tied_streams(), algo=st.sampled_from(sorted(ALGORITHMS)))
+def test_operator_matches_duckdb_on_drawn_tied_streams(spark, case, algo):
+    q, pdf, hostile = case
+    out = continuous_topk_operator(spark.createDataFrame(pdf), q, algo=algo)
+    if hostile:
+        with pytest.raises(PythonException, match="scores must be finite"):
+            out.collect()
+    else:
+        assert_equivalent(out, windowed_topk_oracle_sql(q), stream=pdf)

@@ -7,7 +7,9 @@ itself. ``PerSlideSAP`` keeps the per-slide form: every slide's arrivals
 are merged into per-unit top-k lists and fed to a pure-Python TBUI
 tracker, and every slide's expiries are scanned for C members. Both must
 emit the same windows, hold the same candidates after every slide and
-count the same operations.
+count the same operations. The report SAP keeps across slides and the
+lookahead behind its arrival horizon are checked against a report
+recomputed every window and against the naive top-k.
 """
 import heapq
 
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.naive import all_windows_topk
 from repro.core.query import TopKQuery
 from repro.core.sap import SAP, SAPPartition
 from repro.streams.datasets import gen_stream
@@ -239,4 +242,124 @@ def test_driver_fed_one_slide_at_a_time_matches_attach(variant, ds, chunk):
     fed = drv.algo.metrics.as_row()
     ref = whole.metrics.as_row()
     del fed["wall_time_s"], ref["wall_time_s"]
+    assert fed == ref
+
+
+# -- the report cache and the arrival lookahead -----------------------------
+
+VARIANTS = [
+    (mode, delay, use_savl)
+    for mode in ("equal", "dynamic", "enhanced")
+    for delay in (True, False)
+    for use_savl in (True, False)
+]
+
+
+def _kth_stream(q, length, seed, segments):
+    """Integer-level scores whose segments tie with the running k-th score.
+
+    After a random first window, each ``(kind, run)`` segment appends
+    ``run`` arrivals: ``plateau`` repeats the k-th best score of the last
+    ``n`` arrivals as it stood when the segment began, ``kth`` follows
+    that k-th score arrival by arrival, ``low`` stays under every earlier
+    score (so seals, splits, M formations and deep scans go on while the
+    reported objects stay put), ``high`` beats everything, and ``noise``
+    draws from the first window's levels.
+    """
+    rng = np.random.default_rng(seed)
+    out = rng.integers(0, 6, q.n).astype(np.float64).tolist()
+    low = -1.0
+    for kind, run in segments:
+        if kind == "plateau":
+            out += [sorted(out[-q.n :])[-q.k]] * run
+        elif kind == "kth":
+            for _ in range(run):
+                out.append(sorted(out[-q.n :])[-q.k])
+        elif kind == "low":
+            low -= 1.0
+            out += [low] * run
+        elif kind == "high":
+            out += [max(out[-q.n :]) + 1.0] * run
+        else:
+            out += rng.integers(0, 6, run).astype(np.float64).tolist()
+    out += [out[-1]] * max(0, length - len(out))
+    return np.asarray(out[:length])
+
+
+@st.composite
+def kth_case(draw):
+    s = draw(st.sampled_from([1, 2, 3]))
+    # up to 600 objects: dynamic partitions of two or more units, so
+    # splits and UBSA deep scans happen too
+    n = s * draw(st.integers(min_value=10, max_value=600 // s))
+    k = draw(st.integers(min_value=1, max_value=min(5, n)))
+    length = n + s * draw(st.integers(min_value=1, max_value=2 * n // s))
+    segments = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["plateau", "kth", "low", "high", "noise"]),
+            st.integers(min_value=1, max_value=n),
+        ),
+        min_size=1,
+        max_size=12,
+    ))
+    seed = draw(st.integers(0, 2**32 - 1))
+    q = TopKQuery(n=n, k=k, s=s)
+    return q, _kth_stream(q, length, seed, segments)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=kth_case())
+@pytest.mark.parametrize("mode,delay,use_savl", VARIANTS)
+def test_cached_report_equals_a_recomputed_one(case, mode, delay, use_savl):
+    # the report is kept across every event that leaves the window's
+    # top-k alone: after every slide it must equal a report recomputed
+    # from C ∪ M_0 ∪ P_rear^k and the naive top-k
+    q, scores = case
+    opts = {"mode": mode, "delay": delay, "use_savl": use_savl}
+    cached, forced = SAP(q, **opts), SAP(q, **opts)
+    truth = all_windows_topk(scores, q)
+    for algo in (cached, forced):
+        algo.attach(scores)
+        algo.warmup()
+    for j in range(len(truth)):
+        if j:
+            cached.slide(j)
+            forced.slide(j)
+        forced._report = None
+        want = truth[j].tolist()
+        assert cached.topk() == want
+        assert forced.topk() == want
+        assert len(cached._ahead) <= q.k
+    _assert_same(q, scores, mode, delay, use_savl)
+
+
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=kth_case(), chunk=st.integers(min_value=1, max_value=9))
+@pytest.mark.parametrize("mode,delay,use_savl", VARIANTS)
+def test_lookahead_survives_pickling(case, chunk, mode, delay, use_savl):
+    # fed in chunks that need not end on a slide, the driver is pickled
+    # whenever the lookahead holds arrivals still to come
+    q, scores = case
+    opts = {"mode": mode, "delay": delay, "use_savl": use_savl}
+    drv = IncrementalDriver(f"sap-{mode}", q, delay=delay, use_savl=use_savl)
+    rows = drv.feed(scores[: q.n]).tolist()
+    for lo in range(q.n, len(scores), chunk):
+        rows += drv.feed(scores[lo : lo + chunk]).tolist()
+        assert len(drv.algo._ahead) <= q.k
+        if drv.algo._ahead:
+            drv = IncrementalDriver.loads(drv.dumps())
+    truth = all_windows_topk(scores, q)
+    assert [t for _, _, t, _ in rows] == [int(t) for w in truth for t in w]
+    fed = drv.algo.metrics.as_row()
+    _, ref = _drive(SAP(q, **opts), q, scores)
+    del fed["wall_time_s"]
+    # _drive samples the candidate count at each window, as feed does
     assert fed == ref

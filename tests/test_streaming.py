@@ -28,6 +28,23 @@ SCHEMA = StructType(
 )
 
 
+@pytest.fixture(scope="module")
+def spark(spark):
+    """The session, with one shuffle partition per core while this module runs.
+
+    Every micro-batch of a stateful query runs one task per shuffle
+    partition, and these tests stream one key: at 64 partitions
+    the task overhead, not the operator, sets their run time. The
+    session's value comes back afterwards.
+    """
+    old = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set(
+        "spark.sql.shuffle.partitions", spark.sparkContext.defaultParallelism
+    )
+    yield spark
+    spark.conf.set("spark.sql.shuffle.partitions", old)
+
+
 def _run_streaming(spark, tmp_path, pdf, q, n_chunks, name):
     chunk_len = (len(pdf) + n_chunks - 1) // n_chunks
     chunks = [
