@@ -45,10 +45,7 @@ def test_sap_stream(benchmark, shape):
         iterations=1,
         warmup_rounds=1,
     )
-    expected = all_windows_topk(scores, q)
-    assert len(result.results) == len(expected)
-    for got, want in zip(result.results, expected):
-        assert np.array_equal(got, want)
+    np.testing.assert_array_equal(result.results, all_windows_topk(scores, q))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -65,9 +62,5 @@ def test_driver_emission(benchmark, shape):
     frames = benchmark.pedantic(
         feed_and_frame, rounds=5, iterations=1, warmup_rounds=1
     )
-    frame = pd.concat(frames)
-    expected = all_windows_topk(scores, q)
-    assert len(frame) == len(expected) * q.k
-    got = frame["t"].to_numpy().reshape(len(expected), q.k)
-    for j, want in enumerate(expected):
-        assert np.array_equal(got[j], want)
+    got = pd.concat(frames)["t"].to_numpy().reshape(-1, q.k)
+    np.testing.assert_array_equal(got, all_windows_topk(scores, q))

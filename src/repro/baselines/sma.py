@@ -31,9 +31,8 @@ class SMA(KSkyband):
 
     name = "sma"
 
-    def __init__(self, q: TopKQuery, kmax: int | None = None) -> None:
+    def __init__(self, q: TopKQuery) -> None:
         super().__init__(q)
-        self.kmax = kmax if kmax is not None else 2 * q.k
         self.theta = float("-inf")
 
     def _ingest_range(self, lo: int, hi: int) -> None:
@@ -56,7 +55,7 @@ class SMA(KSkyband):
         w = self.scores[self.window_start : self.window_end]
         ts = np.arange(self.window_start, self.window_end)
         order = np.lexsort((-ts, -w))  # score desc, t desc
-        kmax = min(self.kmax, len(w))
+        kmax = min(2 * self.q.k, len(w))  # k_max = 2k
         # new threshold: k_max-th best score in the window
         self.theta = float(w[order[kmax - 1]])
         c = CandidateSet()
@@ -64,7 +63,7 @@ class SMA(KSkyband):
         examined = 0
         for idx in order:
             sc, tt = float(w[idx]), int(ts[idx])
-            if sc < self.theta or len(taken_ts) >= self.kmax:
+            if sc < self.theta or len(taken_ts) >= kmax:
                 break
             examined += 1
             # dominators among already-walked (higher-scored) objects:

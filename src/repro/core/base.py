@@ -7,17 +7,24 @@ interchangeably:
 
 * ``extend(chunk)`` — append arrivals to ``scores``, the algorithm's one
   copy of the stream, indexed by arrival index ``t``. It is the only
-  place arrivals are checked: NaN or ±inf raise ``ValueError`` and
-  nothing is appended. One-pass algorithms only read arrivals, but
-  multi-pass SMA re-scans the live window, and SAP scans the front
-  partition when forming ``M_0``; both only ever read indices inside
-  the current window.
+  place arrivals are checked: a chunk that is not 1-D, or that holds a
+  NaN or ±inf, raises ``ValueError`` and nothing is appended. One-pass
+  algorithms only read arrivals, but multi-pass SMA re-scans the live
+  window, and SAP scans the front partition when forming ``M_0``; both
+  only ever read indices inside the current window.
 * ``attach(scores)`` — ``extend`` with a whole stream at once; a stream
   shorter than one window raises ``ValueError``. The array is kept as
   given, not copied.
-* ``windows(j0, j1)`` — the one window loop: yields the top-k of
-  windows ``j0 … j1-1`` in turn, stepping with ``warmup()`` for window 0
-  and ``slide(j)`` after.
+* ``windows()`` — the one window loop, and the one place that says what
+  a run measures. It steps through every window that the extended
+  arrivals complete and that has not been emitted yet (the next one
+  follows from ``window_end``), with ``warmup()`` for window 0 and
+  ``slide(j)`` after, and yields each window's ``topk()``. Per window
+  it adds the step (``warmup``/``slide`` plus ``topk``) to
+  ``metrics.wall_time_s`` and samples ``candidate_count()`` once,
+  outside the clock. It is a generator, so a caller may look at the
+  state between windows; extending again and calling ``windows()``
+  again resumes where it stopped.
 * ``warmup()`` — ingest the first ``n`` objects (t = 0..n-1).
 * ``slide(j)`` — advance to window ``j``, the one after the current
   window (else ``ValueError``, also before ``warmup()``): expire the
@@ -37,6 +44,7 @@ arrivals they admit.
 """
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
 
@@ -61,11 +69,13 @@ class StreamTopK(ABC):
     def extend(self, chunk: np.ndarray) -> None:
         """Append arrivals, in arrival order, to the stream's scores.
 
-        Raises ``ValueError`` when the chunk holds a NaN or ±inf score;
-        nothing of it is appended. A chunk that starts the stream is
-        kept as given, not copied.
+        Raises ``ValueError`` when the chunk is not 1-D or holds a NaN or
+        ±inf score; nothing of it is appended. A chunk that starts the
+        stream is kept as given, not copied.
         """
         chunk = np.asarray(chunk, dtype=np.float64)
+        if chunk.ndim != 1:
+            raise ValueError(f"scores must be 1-D, got shape {chunk.shape}")
         if not np.isfinite(chunk).all():
             raise ValueError("scores must be finite (no NaN or ±inf)")
         if len(self.scores):
@@ -75,20 +85,30 @@ class StreamTopK(ABC):
 
     def attach(self, scores: np.ndarray) -> None:
         """Take the whole stream at once (at least one window long)."""
-        if len(scores) < self.q.n:
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.ndim == 1 and len(scores) < self.q.n:  # extend checks ndim
             raise ValueError("stream shorter than one window")
         self.extend(scores)
 
-    def windows(self, j0: int, j1: int) -> Iterator[list[int]]:
-        """Step to each window ``j0 … j1-1`` in turn and yield its top-k."""
-        if j1 > self.q.num_windows(len(self.scores)):
-            raise ValueError(f"window {j1 - 1} is past the extended arrivals")
-        for j in range(j0, j1):
+    def windows(self) -> Iterator[list[int]]:
+        """Step to each complete window not yet emitted and yield its top-k.
+
+        Each step (``warmup``/``slide`` plus ``topk``) is added to
+        ``metrics.wall_time_s``; ``candidate_count()`` is sampled once
+        per window, outside the clock.
+        """
+        q, m, clock = self.q, self.metrics, time.perf_counter
+        first = q.num_windows(self.window_end)  # 0 before warmup()
+        for j in range(first, q.num_windows(len(self.scores))):
+            t0 = clock()
             if j:
                 self.slide(j)
             else:
                 self.warmup()
-            yield self.topk()
+            top = self.topk()
+            m.wall_time_s += clock() - t0
+            m.sample(self.candidate_count())
+            yield top
 
     def warmup(self) -> None:
         """Ingest objects t = 0..n-1 (window 0 becomes available)."""

@@ -34,7 +34,7 @@ class Metrics:
     m_formations: int = 0  # meaningful-object-set constructions (SAP)
     units_skipped: int = 0  # unit scans avoided by UBSA/L_i (EN-DYNA)
     partitions_sealed: int = 0  # partitions created (SAP)
-    wall_time_s: float = 0.0  # measured by the runner
+    wall_time_s: float = 0.0  # summed per window by StreamTopK.windows
 
     # size of the candidate structures, one sample per emitted window
     # (see sample): their sum, their number and their maximum
@@ -43,8 +43,8 @@ class Metrics:
     peak_candidates: int = 0
 
     # per-window sizes kept by a caller that wants them all (the traced
-    # loop of perfbench/core_phase.py); run_stream and IncrementalDriver
-    # only call sample()
+    # loop of perfbench/core_phase.py); StreamTopK.windows only calls
+    # sample()
     candidate_samples: list[int] = field(default_factory=list)
 
     # constant per-run overhead entries (e.g. MinTopK's n/s lbp slots)

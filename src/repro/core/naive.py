@@ -1,10 +1,10 @@
 """Naive per-window top-k — the ground-truth reference implementation.
 
-Re-sorts every window from scratch (O(n log k) per window via
-``argpartition``). Used by pure-python tests as the oracle that every
-streaming algorithm must match exactly, and by the runner's
-``collect_results`` cross-checks. No candidate maintenance, so its
-metrics are trivial.
+Re-sorts every window from scratch with a full ``lexsort`` of it. Used
+by the pure-python tests and ``benchmarks/bench_core.py`` as the oracle
+that every streaming algorithm must match exactly: ``all_windows_topk``
+returns the same ``(windows, k)`` block as ``run_stream(...).results``.
+It keeps no candidates, so it has no ``Metrics``.
 """
 from __future__ import annotations
 
@@ -32,14 +32,12 @@ def window_topk(scores: np.ndarray, start: int, q: TopKQuery) -> np.ndarray:
     return t[order[: q.k]].astype(np.int64)
 
 
-def all_windows_topk(scores: np.ndarray, q: TopKQuery) -> list[np.ndarray]:
-    """Top-k arrival indices for every full window of the stream.
+def all_windows_topk(scores: np.ndarray, q: TopKQuery) -> np.ndarray:
+    """``(windows, k)`` top-k arrival indices of every full window.
 
     Rejects NaN or ±inf anywhere in the stream, as ``attach`` does.
     """
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite (no NaN or ±inf)")
-    return [
-        window_topk(scores, j * q.s, q)
-        for j in range(q.num_windows(len(scores)))
-    ]
+    ids = [window_topk(scores, j * q.s, q) for j in range(q.num_windows(len(scores)))]
+    return np.array(ids, dtype=np.int64).reshape(-1, q.k)

@@ -17,6 +17,7 @@ deterministic order is still needed to emit a unique top-k set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,11 @@ class TopKQuery:
     s: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "k", "s"):
+            v = getattr(self, name)
+            # bool is an int subclass: TopKQuery(40, True, 4) would be k = 1
+            if isinstance(v, bool) or not isinstance(v, Integral):
+                raise TypeError(f"{name} must be an integer, got {v!r}")
         if self.n <= 0 or self.k <= 0 or self.s <= 0:
             raise ValueError(f"n, k, s must be positive: {self}")
         if self.k > self.n:

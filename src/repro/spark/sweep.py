@@ -92,7 +92,7 @@ def run_cell(cell: dict) -> dict:
     opts = json.loads(cell["opts"]) if cell["opts"] else {}
     best = None
     for _ in range(max(1, int(cell.get("repeats", 1)))):
-        res = run_stream(cell["algo"], scores, q, collect_results=False, **opts)
+        res = run_stream(cell["algo"], scores, q, **opts)
         if best is None or res.metrics.wall_time_s < best.metrics.wall_time_s:
             best = res
     row = {f: cell.get(f, 1) for f in CELL_FIELDS + PARAM_FIELDS}

@@ -38,26 +38,22 @@ class IncrementalDriver:
     def __init__(self, algo: str, q: TopKQuery, **opts) -> None:
         self.q = q
         self.algo = make_algorithm(algo, q, **opts)
-        self.next_window = 0
 
     def feed(self, scores: np.ndarray) -> np.ndarray:
         """Append arrivals (in order); return their windows' ``ROW_DTYPE`` rows.
 
         ``k`` rows per window the chunk completes, best rank first.
-        Raises ``ValueError`` when the chunk holds a NaN or ±inf score;
-        nothing of it is taken, so feeding can go on with clean data.
+        Raises ``ValueError`` when the chunk is not 1-D or holds a NaN or
+        ±inf score; nothing of it is taken, so feeding can go on with
+        clean data.
         """
         algo, k = self.algo, self.q.k
         algo.extend(scores)
-        j0, j1 = self.next_window, self.q.num_windows(len(algo.scores))
-        ids = np.empty((j1 - j0, k), dtype=np.int64)
-        for i, top in enumerate(algo.windows(j0, j1)):
-            algo.metrics.sample(algo.candidate_count())
-            ids[i] = top
-        self.next_window = j1
+        j0 = self.q.num_windows(algo.window_end)  # first window to emit
+        ids = np.array(list(algo.windows()), dtype=np.int64)
         out = np.empty(ids.size, dtype=ROW_DTYPE)
-        out["window_id"] = np.repeat(np.arange(j0, j1), k)
-        out["rank"] = np.tile(np.arange(1, k + 1), j1 - j0)
+        out["window_id"] = np.repeat(np.arange(j0, j0 + len(ids)), k)
+        out["rank"] = np.tile(np.arange(1, k + 1), len(ids))
         out["t"] = ids.ravel()
         out["score"] = algo.scores[out["t"]]
         return out

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from pyspark.sql.types import DoubleType, LongType
 
+from repro.core.naive import all_windows_topk
 from repro.core.query import TopKQuery
 from repro.spark.operator import RESULT_SCHEMA
 from repro.streams.datasets import gen_stream
@@ -24,10 +25,9 @@ def feed_in_chunks(algo, q, scores, chunk):
 
 
 def reference_rows(q, scores):
-    ref = run_stream("naive", scores, q)
     return [
         (j, r + 1, int(t), float(scores[t]))
-        for j, ids in enumerate(ref.results)
+        for j, ids in enumerate(all_windows_topk(scores, q))
         for r, t in enumerate(ids)
     ]
 
@@ -162,10 +162,23 @@ def test_any_chunking_and_roundtrips_match_run_stream(algo, case):
         if trip:
             drv = IncrementalDriver.loads(drv.dumps())
     assert rows == reference_rows(q, scores)
-    whole = run_stream(algo, scores, q, collect_results=False).metrics.as_row()
+    whole = run_stream(algo, scores, q).metrics.as_row()
     fed = drv.algo.metrics.as_row()
     del whole["wall_time_s"], fed["wall_time_s"]
     assert fed == whole
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_chunked_feed_reports_wall_time(algo):
+    # windows() times every window's step, whoever drives it
+    q = TopKQuery(n=40, k=4, s=4)
+    scores = gen_stream("STOCK", 200, seed=0)
+    drv = IncrementalDriver(algo, q)
+    for off in range(0, len(scores), 7):
+        drv.feed(scores[off : off + 7])
+    fed, whole = drv.algo.metrics, run_stream(algo, scores, q).metrics
+    assert fed.wall_time_s > 0 and whole.wall_time_s > 0
+    assert fed.windows_sampled == whole.windows_sampled == q.num_windows(200)
 
 
 def test_pickled_driver_does_not_grow_with_windows():
@@ -179,7 +192,8 @@ def test_pickled_driver_does_not_grow_with_windows():
     for off in range(0, len(scores), 480):
         drv.feed(scores[off : off + 480])
         state = len(drv.dumps()) - drv.algo.scores.nbytes
-        sizes.append((drv.next_window, state, len(pickle.dumps(drv.algo.metrics))))
+        m = drv.algo.metrics
+        sizes.append((m.windows_sampled, state, len(pickle.dumps(m))))
     (w0, state0, metrics0), (w1, state1, metrics1) = sizes[0], sizes[-1]
     assert w1 - w0 > 5000
     # one sample per window grew the state by ~2 bytes a window

@@ -42,7 +42,7 @@ def test_sap_candidate_bound(ds):
     """|C ∪ M₀| stays within the paper's O(k·√(n/max(s,k))) bound."""
     q = TopKQuery(n=400, k=10, s=4)
     scores = gen_stream(ds, 2000, seed=1)
-    r = run_stream("sap-enhanced", scores, q, collect_results=False)
+    r = run_stream("sap-enhanced", scores, q)
     bound = q.k * math.sqrt(q.n / max(q.s, q.k))
     # constant factor: the bound is per-partition k + the M set; allow 4×
     assert r.metrics.peak_candidates <= 4 * bound + 4 * q.k
@@ -53,7 +53,7 @@ def test_mintopk_candidate_bound(ds):
     """MinTopK's |C| ≤ nk/max(s,k) (paper §2.1)."""
     q = TopKQuery(n=400, k=10, s=4)
     scores = gen_stream(ds, 2000, seed=1)
-    r = run_stream("mintopk", scores, q, collect_results=False)
+    r = run_stream("mintopk", scores, q)
     assert r.metrics.peak_candidates <= q.n * q.k / max(q.s, q.k)
 
 
@@ -61,8 +61,8 @@ def test_sap_beats_mintopk_on_candidates():
     q = TopKQuery(n=400, k=10, s=4)
     for ds in DATASETS:
         scores = gen_stream(ds, 2000, seed=2)
-        sap = run_stream("sap-enhanced", scores, q, collect_results=False)
-        mtk = run_stream("mintopk", scores, q, collect_results=False)
+        sap = run_stream("sap-enhanced", scores, q)
+        mtk = run_stream("mintopk", scores, q)
         assert sap.metrics.avg_candidates < mtk.metrics.avg_candidates
 
 
@@ -70,7 +70,7 @@ def test_sma_rescans_counted():
     q = TopKQuery(n=200, k=10, s=2)
     # declining stream forces SMA re-scans (the paper's Fig. 1a case)
     scores = gen_stream("TIMER", 1000, seed=0)
-    r = run_stream("sma", scores, q, collect_results=False)
+    r = run_stream("sma", scores, q)
     assert r.metrics.rescans > 1
     assert r.metrics.rescan_examined > 0
 
@@ -78,10 +78,8 @@ def test_sma_rescans_counted():
 def test_delay_policy_reduces_m_formations():
     q = TopKQuery(n=400, k=10, s=4)
     scores = gen_stream("STOCK", 2000, seed=3)
-    eager = run_stream(
-        "sap-equal", scores, q, collect_results=False, delay=False
-    )
-    lazy = run_stream("sap-equal", scores, q, collect_results=False)
+    eager = run_stream("sap-equal", scores, q, delay=False)
+    lazy = run_stream("sap-equal", scores, q)
     assert lazy.metrics.m_formations <= eager.metrics.m_formations
 
 
@@ -98,7 +96,7 @@ _PINNED_BASELINE_ROWS = {
 def test_baseline_metrics_pinned(algo):
     q = TopKQuery(n=240, k=10, s=4)
     scores = gen_stream("TIMER", 1200, seed=7)
-    row = run_stream(algo, scores, q, collect_results=False).metrics.as_row()
+    row = run_stream(algo, scores, q).metrics.as_row()
     cols = ("insertions", "deletions", "examined", "rescans",
             "rescan_examined", "avg_candidates", "memory_kb")
     assert tuple(row[c] for c in cols) == pytest.approx(
@@ -130,7 +128,7 @@ def test_sap_metrics_pinned(variant):
     algo, opts, expected = _PINNED_SAP_ROWS[variant]
     q = TopKQuery(n=240, k=10, s=4)
     scores = gen_stream("TIMER", 1200, seed=7)
-    row = run_stream(algo, scores, q, collect_results=False, **opts).metrics.as_row()
+    row = run_stream(algo, scores, q, **opts).metrics.as_row()
     cols = ("insertions", "deletions", "examined", "m_formations",
             "units_skipped", "partitions_sealed", "avg_candidates", "memory_kb")
     assert tuple(row[c] for c in cols) == pytest.approx(expected, rel=1e-12)
@@ -200,7 +198,7 @@ _PINNED_WINDOWS_SHA256_HIGH_SPEED = (
 def test_sap_metrics_pinned_high_speed(variant):
     algo, opts = _SAP_VARIANTS[variant]
     scores = gen_stream("TIMER", 4800, seed=7)
-    row = run_stream(algo, scores, _HS_Q, collect_results=False, **opts).metrics.as_row()
+    row = run_stream(algo, scores, _HS_Q, **opts).metrics.as_row()
     cols = ("insertions", "deletions", "examined", "m_formations",
             "units_skipped", "partitions_sealed", "avg_candidates",
             "peak_candidates", "memory_kb")
@@ -250,7 +248,7 @@ def test_sap_candidate_count_is_alive_entries(case, variant):
     algo_name, opts = _SAP_VARIANTS[variant]
     algo = make_algorithm(algo_name, q, **opts)
     algo.attach(scores)
-    for _ in algo.windows(0, q.num_windows(len(scores))):
+    for _ in algo.windows():
         m = algo.sealed[0].m if algo.sealed else None
         held = [t for _, t in algo.C.iter_desc()] + [t for _, t in algo.rear.topk]
         held += [t for st_ in (m.stacks if m else []) for _, t in st_]

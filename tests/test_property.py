@@ -3,6 +3,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.naive import all_windows_topk
 from repro.core.query import TopKQuery
 from repro.streams.runner import make_algorithm, run_stream
 
@@ -39,12 +40,9 @@ def stream_case(draw):
 @given(stream_case())
 def test_all_algorithms_match_naive(case):
     q, scores = case
-    ref = run_stream("naive", scores, q)
+    ref = all_windows_topk(scores, q)
     for algo in ALGOS:
-        got = run_stream(algo, scores, q)
-        assert len(got.results) == len(ref.results)
-        for a, b in zip(ref.results, got.results):
-            assert np.array_equal(a, b), algo
+        np.testing.assert_array_equal(run_stream(algo, scores, q).results, ref, algo)
 
 
 @settings(max_examples=25, deadline=None)
@@ -59,11 +57,9 @@ def test_heavy_ties(vals):
     # integer scores: massive ties stress the (score desc, t desc) break
     scores = np.array(vals, dtype=np.float64)
     q = TopKQuery(n=20, k=5, s=4)
-    ref = run_stream("naive", scores, q)
+    ref = all_windows_topk(scores, q)
     for algo in ALGOS:
-        got = run_stream(algo, scores, q)
-        for a, b in zip(ref.results, got.results):
-            assert np.array_equal(a, b), algo
+        np.testing.assert_array_equal(run_stream(algo, scores, q).results, ref, algo)
 
 
 @settings(max_examples=20, deadline=None)
@@ -74,11 +70,9 @@ def test_monotone_extremes(seed):
     direction = seed % 2 == 0
     scores = base if direction else base[::-1].copy()
     q = TopKQuery(n=24, k=6, s=4)
-    ref = run_stream("naive", scores, q)
+    ref = all_windows_topk(scores, q)
     for algo in ALGOS:
-        got = run_stream(algo, scores, q)
-        for a, b in zip(ref.results, got.results):
-            assert np.array_equal(a, b), algo
+        np.testing.assert_array_equal(run_stream(algo, scores, q).results, ref, algo)
 
 
 SAP_VARIANTS = [
@@ -99,7 +93,7 @@ SAP_VARIANTS = [
 def test_sap_report_is_a_fresh_copy(case):
     """topk() twice per window agrees, and editing a report changes nothing."""
     q, scores = case
-    ref = run_stream("naive", scores, q).results
+    ref = all_windows_topk(scores, q)
     for name, opts in SAP_VARIANTS:
         algo = make_algorithm(name, q, **opts)
         algo.attach(scores)
@@ -124,11 +118,10 @@ def test_sap_binary_scores(vals, nks):
     # the rear's k-th score exactly
     scores = np.array(vals, dtype=np.float64)
     q = TopKQuery(*nks)
-    ref = run_stream("naive", scores, q)
+    ref = all_windows_topk(scores, q)
     for name, opts in SAP_VARIANTS:
-        got = run_stream(name, scores, q, **opts)
-        for a, b in zip(ref.results, got.results):
-            assert np.array_equal(a, b), (name, opts)
+        got = run_stream(name, scores, q, **opts).results
+        np.testing.assert_array_equal(got, ref, f"{name} {opts}")
 
 
 def test_ties_at_rear_floor_within_one_batch():
@@ -148,5 +141,5 @@ def test_ties_at_rear_floor_within_one_batch():
     algo.slide(2)  # fills, and so seals, the partition [16, 24)
     assert algo.sealed[-1].topk == [(2.0, 22), (2.0, 23), (3.0, 17)]
     assert algo.topk() == [17, 23, 22]
-    ref = run_stream("naive", scores, q).results
+    ref = all_windows_topk(scores, q)
     assert [list(r) for r in ref[1:]] == [[17, 18, 16], [17, 23, 22]]

@@ -1,4 +1,5 @@
 """Unit tests for the query model (core/query.py)."""
+import numpy as np
 import pytest
 
 from repro.core.query import TopKQuery
@@ -44,3 +45,19 @@ def test_query_frozen():
     q = TopKQuery(n=10, k=2, s=2)
     with pytest.raises(AttributeError):
         q.n = 20  # type: ignore[misc]
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [((40.0, 4, 4), "n"), ((40, True, 4), "k"), ((40, 4, np.float64(4)), "s")],
+    ids=["float-n", "bool-k", "numpy-float-s"],
+)
+def test_non_integer_parameters_rejected(args, field):
+    # 40.0 used to fail later inside range(); True silently became k = 1
+    with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+        TopKQuery(*args)
+
+
+def test_numpy_integer_parameters_accepted():
+    q = TopKQuery(np.int64(40), np.int32(4), np.int64(4))
+    assert q.num_windows(48) == 3

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from repro.core.naive import all_windows_topk
 from repro.core.query import TopKQuery
 from repro.streams.datasets import gen_stream
+from repro.streams.incremental import IncrementalDriver
 from repro.streams.runner import ALGORITHMS, make_algorithm, run_stream
 
 
@@ -23,21 +25,21 @@ def test_registry_names():
     }
 
 
-def test_collect_results_flag():
+def test_run_stream_emits_one_block():
     q = TopKQuery(n=40, k=4, s=4)
     scores = gen_stream("TIMEU", 120, seed=0)
-    with_res = run_stream("sap-equal", scores, q)
-    without = run_stream("sap-equal", scores, q, collect_results=False)
-    assert len(with_res.results) == q.num_windows(120)
-    assert without.results == []
-    # metrics are collected either way
-    assert without.metrics.windows_sampled == q.num_windows(120)
+    r = run_stream("sap-equal", scores, q)
+    assert r.results.dtype == np.int64
+    assert r.results.shape == (q.num_windows(120), q.k)
+    np.testing.assert_array_equal(r.results, all_windows_topk(scores, q))
+    # one candidate-count sample per emitted window
+    assert r.metrics.windows_sampled == q.num_windows(120)
 
 
 def test_wall_time_recorded():
     q = TopKQuery(n=40, k=4, s=4)
     scores = gen_stream("STOCK", 200, seed=0)
-    r = run_stream("mintopk", scores, q, collect_results=False)
+    r = run_stream("mintopk", scores, q)
     assert r.metrics.wall_time_s > 0
 
 
@@ -50,7 +52,7 @@ def test_stream_shorter_than_window_rejected():
 def test_opts_forwarded():
     q = TopKQuery(n=60, k=4, s=4)
     scores = gen_stream("STOCK", 200, seed=0)
-    r = run_stream("sap-equal", scores, q, m=3, collect_results=False)
+    r = run_stream("sap-equal", scores, q, m=3)
     # m=3 → partitions of ~n/3, so roughly 200/20 = 10 seals
     assert r.metrics.partitions_sealed >= 5
 
@@ -83,12 +85,43 @@ def test_unknown_options_rejected(algo, opts):
         make_algorithm(algo, TopKQuery(n=40, k=4, s=4), **opts)
 
 
-def test_windows_past_the_extended_arrivals_rejected():
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_windows_resumes_after_the_last_emitted_window(algo):
     q = TopKQuery(n=40, k=4, s=4)
-    algo = make_algorithm("sap-enhanced", q)
-    algo.extend(gen_stream("TIMEU", 47, seed=0))  # windows 0 and 1
-    with pytest.raises(ValueError, match="past the extended arrivals"):
-        list(algo.windows(0, 3))
+    scores = gen_stream("TIMEU", 120, seed=0)
+    a = make_algorithm(algo, q)
+    a.extend(scores[:47])  # windows 0 and 1
+    got = list(a.windows())
+    assert list(a.windows()) == []  # nothing new extended
+    a.extend(scores[47:])
+    got += a.windows()
+    assert got == all_windows_topk(scores, q).tolist()
+    assert a.metrics.windows_sampled == q.num_windows(120)
+
+
+@pytest.mark.parametrize("shape", [(), (60, 2)], ids=["0-d", "2-d"])
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_chunk_that_is_not_1d_rejected(algo, shape):
+    # a 2-D stream used to fail deep inside the algorithms and a 0-d
+    # chunk to break the driver's next feed
+    q = TopKQuery(n=40, k=4, s=4)
+    bad = np.random.default_rng(0).random(shape)
+    a = make_algorithm(algo, q)
+    with pytest.raises(ValueError, match="1-D"):
+        a.attach(bad)
+    assert len(a.scores) == 0
+    with pytest.raises(ValueError, match="1-D"):
+        run_stream(algo, bad, q)
+    drv = IncrementalDriver(algo, q)
+    with pytest.raises(ValueError, match="1-D"):
+        drv.feed(bad)
+    assert len(drv.algo.scores) == 0
+    # nothing was taken, so feeding goes on
+    scores = gen_stream("TIMEU", 60, seed=0)
+    rows = drv.feed(scores)
+    np.testing.assert_array_equal(
+        rows["t"].reshape(-1, q.k), all_windows_topk(scores, q)
+    )
 
 
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
@@ -112,4 +145,4 @@ def test_slide_must_step_to_the_next_window(algo):
         with pytest.raises(ValueError, match=skipped):
             a.slide(j)
     a.slide(2)
-    assert a.topk() == run_stream("naive", scores, q).results[2].tolist()
+    assert a.topk() == all_windows_topk(scores, q)[2].tolist()

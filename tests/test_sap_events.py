@@ -25,6 +25,7 @@ from repro.streams.datasets import gen_stream
 from repro.streams.incremental import IncrementalDriver
 from repro.streams.runner import run_stream
 
+from .test_sap_expiry import _drive
 from .test_tbui import PythonRunTBUI
 
 
@@ -141,23 +142,10 @@ class PerSlideSAP(SAP):
                 self.tbui.drop_before(hi)
 
 
-def _drive(algo, q, scores):
-    """Every window's top-k and candidate count, plus the Metrics row."""
-    algo.attach(scores)
-    out = []
-    for ids in algo.windows(0, q.num_windows(len(scores))):
-        count = algo.candidate_count()
-        algo.metrics.sample(count)
-        out.append((ids, count))
-    row = algo.metrics.as_row()
-    del row["wall_time_s"]
-    return out, row
-
-
 def _assert_same(q, scores, mode, delay, use_savl):
     opts = {"mode": mode, "delay": delay, "use_savl": use_savl}
-    ref_windows, ref_row = _drive(PerSlideSAP(q, **opts), q, scores)
-    got_windows, got_row = _drive(SAP(q, **opts), q, scores)
+    ref_windows, ref_row = _drive(PerSlideSAP(q, **opts), scores)
+    got_windows, got_row = _drive(SAP(q, **opts), scores)
     assert got_windows == ref_windows
     assert got_row == ref_row
 
@@ -359,7 +347,6 @@ def test_lookahead_survives_pickling(case, chunk, mode, delay, use_savl):
     truth = all_windows_topk(scores, q)
     assert [t for _, _, t, _ in rows] == [int(t) for w in truth for t in w]
     fed = drv.algo.metrics.as_row()
-    _, ref = _drive(SAP(q, **opts), q, scores)
+    _, ref = _drive(SAP(q, **opts), scores)
     del fed["wall_time_s"]
-    # _drive samples the candidate count at each window, as feed does
     assert fed == ref

@@ -53,17 +53,10 @@ class PerObjectSAP(SAP):
                     self.tbui.drop_before(front.end)
 
 
-def _drive(algo: SAP, q: TopKQuery, scores: np.ndarray):
+def _drive(algo: SAP, scores: np.ndarray):
     """Every window's top-k and candidate count, plus the Metrics row."""
     algo.attach(scores)
-    algo.warmup()
-    out = []
-    for j in range(q.num_windows(len(scores))):
-        if j:
-            algo.slide(j)
-        count = algo.candidate_count()
-        algo.metrics.sample(count)
-        out.append((algo.topk(), count))
+    out = [(ids, algo.candidate_count()) for ids in algo.windows()]
     row = algo.metrics.as_row()
     del row["wall_time_s"]
     return out, row
@@ -71,8 +64,8 @@ def _drive(algo: SAP, q: TopKQuery, scores: np.ndarray):
 
 def _assert_same(q, scores, mode, delay, use_savl):
     opts = {"mode": mode, "delay": delay, "use_savl": use_savl}
-    ref_windows, ref_row = _drive(PerObjectSAP(q, **opts), q, scores)
-    got_windows, got_row = _drive(SAP(q, **opts), q, scores)
+    ref_windows, ref_row = _drive(PerObjectSAP(q, **opts), scores)
+    got_windows, got_row = _drive(SAP(q, **opts), scores)
     assert got_windows == ref_windows
     assert got_row == ref_row
 

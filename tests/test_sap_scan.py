@@ -75,8 +75,8 @@ def test_scan_matches_per_object_loop(case):
 
 def _assert_same(q, scores, mode, delay, use_savl):
     opts = {"mode": mode, "delay": delay, "use_savl": use_savl}
-    ref = _drive(PerObjectScanSAP(q, **opts), q, scores)
-    assert _drive(SAP(q, **opts), q, scores) == ref
+    ref = _drive(PerObjectScanSAP(q, **opts), scores)
+    assert _drive(SAP(q, **opts), scores) == ref
 
 
 @settings(

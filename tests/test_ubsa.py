@@ -46,7 +46,7 @@ def test_head_and_tail_spans_are_scanned_into_m0(ds, delay):
     algo = SpanCheckingSAP(q, mode="enhanced", delay=delay)
     scores = gen_stream(ds, 4 * q.n + 3 * q.s, seed=1)
     algo.attach(scores)
-    for _ in algo.windows(0, q.num_windows(len(scores))):
+    for _ in algo.windows():
         pass
     # both kinds of span occur and keep something, so the check bites
     assert any(head and kept for head, kept, _ in algo.spans)
