@@ -10,10 +10,11 @@ with arrival order, the TIMER case) and each arrival pays O(n_d) counter
 updates, exactly the weakness the paper demonstrates.
 
 ``KSkyband`` is also the base of the other two baselines, which keep a
-*capped* k-skyband and differ only in which arrivals they admit
-(``_ingest``): MinTopK drops an arrival that k objects of its own slide
-outscore, SMA one below its re-scan threshold. The candidate set, the
-admit step, expiry, ``topk`` and ``candidate_count`` live here once.
+*capped* k-skyband and differ only in which arrivals they admit:
+MinTopK drops an arrival that k objects of its own slide outscore
+(``_ingest_range``, a slide at a time), SMA one below its re-scan
+threshold (``_ingest``). The candidate set, the admit step, expiry,
+``topk`` and ``candidate_count`` live here once.
 """
 from __future__ import annotations
 
@@ -24,8 +25,6 @@ from repro.core.query import TopKQuery
 
 class KSkyband(StreamTopK):
     """One-pass k-skyband candidate maintenance."""
-
-    name = "kskyband"
 
     def __init__(self, q: TopKQuery) -> None:
         super().__init__(q)

@@ -26,33 +26,32 @@ from repro.core.query import TopKQuery
 class MinTopK(KSkyband):
     """Slide-granularity skyband ≡ union of predicted result sets."""
 
-    name = "mintopk"
-
     def __init__(self, q: TopKQuery) -> None:
         super().__init__(q)
-        self._cur_slide = -1
-        self._cur_scores: list[float] = []  # all scores seen this slide
         # one lbp pointer per predicted window instead of a dominance
         # counter per candidate (memory model)
         self.metrics.counter_entries_flag = False
         self.metrics.overhead_pointers = q.m_slides
 
-    def _ingest(self, t: int, score: float) -> None:
-        g = t // self.q.s  # slide id
-        if g != self._cur_slide:
-            self._cur_slide = g
-            self._cur_scores = []
-        # dominators of the new object: same-slide arrivals with higher
-        # score (later slides haven't arrived). Counting *all* arrivals
-        # — kept, evicted or skipped — is sound: any same-slide higher
-        # object dominates o directly or implies ≥ k dominators
-        # transitively. An O(log s) bisect mirrors the paper's lbp-table
-        # update cost instead of an O(|C|) scan.
-        dom0 = len(self._cur_scores) - bisect.bisect_right(
-            self._cur_scores, score
-        )
-        bisect.insort(self._cur_scores, score)
-        self.metrics.examined += 1
-        if dom0 >= self.q.k:
-            return  # cannot contribute to any predicted result set
-        self._admit(t, score, dom0)
+    def _ingest_range(self, lo: int, hi: int) -> None:
+        """Admit the arrivals ``[lo, hi)``, whole slides, a slide at a time.
+
+        The dominators of a new object are the arrivals of its own slide
+        that outscore it (later slides haven't arrived). Counting *all*
+        of them — kept, evicted or skipped — is sound: any same-slide
+        higher object dominates o directly or implies ≥ k dominators
+        transitively. An O(log s) bisect into the slide's sorted scores
+        mirrors the paper's lbp-table update cost instead of an O(|C|)
+        scan.
+        """
+        k, s, metrics = self.q.k, self.q.s, self.metrics
+        scores = self.scores[lo:hi].tolist()
+        for g in range(0, hi - lo, s):
+            seen: list[float] = []  # the slide's scores so far, ascending
+            for t, score in enumerate(scores[g : g + s], lo + g):
+                dom0 = len(seen) - bisect.bisect_right(seen, score)
+                bisect.insort(seen, score)
+                metrics.examined += 1
+                # with k dominators it is in no predicted result set
+                if dom0 < k:
+                    self._admit(t, score, dom0)

@@ -29,8 +29,6 @@ from repro.core.query import TopKQuery
 class SMA(KSkyband):
     """Multi-pass capped-skyband with threshold re-scanning."""
 
-    name = "sma"
-
     def __init__(self, q: TopKQuery) -> None:
         super().__init__(q)
         self.theta = float("-inf")

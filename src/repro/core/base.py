@@ -57,8 +57,6 @@ from .query import TopKQuery
 class StreamTopK(ABC):
     """Abstract continuous top-k algorithm over a count-based window."""
 
-    name: str = "abstract"
-
     def __init__(self, q: TopKQuery) -> None:
         self.q = q
         self.metrics = Metrics()

@@ -71,21 +71,19 @@ class SAPPartition:
     """One sub-window: arrival range, top-k list, optional M set."""
 
     __slots__ = (
-        "start", "end", "topk", "labels", "m", "rho", "prepared", "deep_idx",
-        "cand_ts",
+        "start", "end", "topk", "labels", "m", "rho", "deep_idx", "cand_ts",
     )
 
     def __init__(self, start: int) -> None:
         self.start = start
         self.end: int | None = None  # exclusive; set at seal
         self.topk: list[tuple[float, int]] = []  # ascending (score, t), ≤ k
-        self.labels: list[UnitLabel] | None = None  # enhanced mode
+        self.labels: list[UnitLabel] | None = None  # enhanced mode only
         self.m: MeaningfulSet | None = None
-        self.rho: int | None = None
-        self.prepared = False  # front-readiness (ρ computed, M formed)
+        self.rho: int | None = None  # set once the partition reaches the front
         self.deep_idx = 0  # next label to consider for UBSA deep scan
-        # t of its C members, ascending; a t that has left C since is
-        # skipped when read (see SAP._expire_range)
+        # min-heap of the t of its C members; a t that has left C since
+        # is popped when it reaches the top (see SAP._expire_range)
         self.cand_ts: list[int] = []
 
     def topk_desc(self) -> list[tuple[float, int]]:
@@ -117,7 +115,6 @@ class SAP(StreamTopK):
         self.mode = mode
         self.use_savl = use_savl
         self.delay = delay
-        self.name = f"sap-{mode}"
         self.C = CandidateSet()
         self.sealed: deque[SAPPartition] = deque()
         self.rear = SAPPartition(0)
@@ -138,9 +135,8 @@ class SAP(StreamTopK):
         self._ahead_end = 0
         self._quiet_expiry = 0
         if mode == "equal":
-            self.part_size = equal_partition_size(q, m)
-            self.u_len = self.part_size
-            self.max_units = 1
+            # a partition is one unit, sealed whole at its end
+            self.u_len = equal_partition_size(q, m)
         else:
             self.u_len = unit_size(q)
             self.max_units = lmax_units(q)
@@ -151,12 +147,12 @@ class SAP(StreamTopK):
     def _ingest_range(self, lo: int, hi: int) -> None:
         """Ingest arrivals ``[lo, hi)``, one run between boundaries at a time.
 
-        Work is done only at a unit boundary, at the hard cap ``n``,
-        (equal mode) at the partition size, at a TBUI unit end and at an
-        arrival that enters the rear's top-k. After each call that did
-        work, ``_next_ingest_event`` finds the next such arrival; a later
-        call that ends at or before it (``_quiet_ingest``) returns at
-        once.
+        Work is done only at a unit boundary (in equal mode, a unit is
+        the whole partition), at the hard cap ``n``, at a TBUI unit end
+        and at an arrival that enters the rear's top-k. After each call
+        that did work, ``_next_ingest_event`` finds the next such
+        arrival; a later call that ends at or before it
+        (``_quiet_ingest``) returns at once.
 
         An entering arrival drops the report only when it scores at or
         above the report's k-th score (being newer, it wins the tie); an
@@ -217,8 +213,6 @@ class SAP(StreamTopK):
     def _next_boundary(self, lo: int) -> int:
         """The first point after ``lo`` where the rear is sealed or grows a unit."""
         rear = self.rear
-        if self.mode == "equal":
-            return rear.start + self.part_size
         return min(
             rear.start + self.q.n,
             lo + self.u_len - (lo - rear.start) % self.u_len,
@@ -278,9 +272,7 @@ class SAP(StreamTopK):
         [t0−n+|Pm|, t0)") rather than re-scanning raw scores. ``end`` is
         one past the rear's newest arrival.
         """
-        rear_topk = [sc for sc, _ in self.rear.topk]
-        if len(rear_topk) < self.q.k:
-            return False  # not enough evidence: keep growing
+        rear_topk = [sc for sc, _ in self.rear.topk]  # k entries: ≥ 2 units
         lookback = self.q.n - (end - self.rear.start)
         lo = max(0, self.rear.start - max(lookback, 0))
         top_eta: list[float] = []
@@ -348,7 +340,6 @@ class SAP(StreamTopK):
             # non-delay strawman: eager M with ρ=0 and no global bound
             part.rho = 0
             part.m = self._form_meaningful(part, rho=0, f_theta=float("-inf"))
-            part.prepared = True
 
     # ----------------------------------------------------------- expiries
     def _expire_range(self, lo: int, hi: int) -> None:
@@ -358,8 +349,13 @@ class SAP(StreamTopK):
         partition. Work is done only at the C members among the expiring
         objects (removal plus an ``M_0`` promotion) and at UBSA deep-scan
         horizons, in ``t`` order and with a removal before a deep scan at
-        the same ``t``, as an object-by-object drain orders them. A
-        promoted object that expires later in the slide joins the queue.
+        the same ``t``, as an object-by-object drain orders them. The C
+        members come off ``front.cand_ts``, a min-heap whose entries that
+        have left C are popped as they reach the top; each promotion is
+        pushed onto it, so one that expires later in the slide is
+        drained in the same pass. A promotion is never already on the
+        heap: an object refined out of C has k newer, higher objects, so
+        it scores below Fθ and no ``M_0`` holds it.
 
         A slide that ends at or before ``_quiet_expiry`` returns at once.
         That horizon is the first of: the front's last object, its oldest
@@ -371,26 +367,20 @@ class SAP(StreamTopK):
         if hi <= self._quiet_expiry:
             return
         front = self.sealed[0]
-        if not front.prepared:
+        if front.rho is None:
             self._ready_front(front)
         if lo <= self._report_min_t < hi:
             # the first reported object to expire is the report's oldest;
             # other expiries leave the window's top-k as it is
             self._report = None
-        C, m, scores = self.C, front.m, self.scores
-        ts = front.cand_ts
-        i = bisect.bisect_left(ts, hi)
-        gone = [t for t in ts[:i] if t in C]  # ascending, so already a heap
-        del ts[:i]
+        C, m, scores, ts = self.C, front.m, self.scores, front.cand_ts
         # only a UBSA-built M holds k-unit summaries; the exact skyband of
         # use_savl=False already covers every unit
-        labels = (
-            front.labels
-            if m is not None and self.mode == "enhanced" and self.use_savl
-            else None
-        )
+        labels = front.labels if m is not None and self.use_savl else None
         while True:
-            t = gone[0] if gone else hi
+            while ts and ts[0] not in C:
+                heapq.heappop(ts)
+            t = ts[0] if ts and ts[0] < hi else hi
             if labels and front.deep_idx < len(labels):
                 # the first t within one unit of the next label's start
                 drain_t = max(lo, labels[front.deep_idx].start - self.u_len)
@@ -399,7 +389,7 @@ class SAP(StreamTopK):
                     continue
             if t == hi:
                 break
-            heapq.heappop(gone)
+            heapq.heappop(ts)
             C.remove(float(scores[t]), t)
             self.metrics.deletions += 1
             if m is not None:
@@ -407,20 +397,13 @@ class SAP(StreamTopK):
                 if promoted is not None:
                     C.insert(promoted[0], promoted[1])
                     self.metrics.insertions += 1
-                    if promoted[1] < hi:
-                        heapq.heappush(gone, promoted[1])
-                    else:
-                        j = bisect.bisect_left(ts, promoted[1])
-                        if j == len(ts) or ts[j] != promoted[1]:
-                            ts.insert(j, promoted[1])
+                    heapq.heappush(ts, promoted[1])
         if hi == front.end:
             self.sealed.popleft()
             if self.tbui is not None:
                 self.tbui.drop_before(hi)
             self._quiet_expiry = 0
             return
-        while ts and ts[0] not in C:
-            del ts[0]
         quiet = min(front.end - 1, ts[0]) if ts else front.end - 1
         if self._report is not None:
             quiet = min(quiet, self._report_min_t)
@@ -436,7 +419,6 @@ class SAP(StreamTopK):
         skip useless M formations, and only now is the global bound Fθ
         drawn from objects guaranteed to outlive the front.
         """
-        front.prepared = True
         assert front.end is not None
         rho = self.C.rho(front.kth_score(), front.end)
         # the unsealed rear's top-k are later candidates too
@@ -468,7 +450,7 @@ class SAP(StreamTopK):
         if not self.use_savl:
             ms.add([self._exact_skyband(lo, part.end, cap, f_theta)])
             return ms
-        if self.mode == "enhanced" and part.labels:
+        if part.labels:
             self._ubsa(ms, part, lo, cap, f_theta)
             return ms
         savl = SAVL(cap)

@@ -52,7 +52,6 @@ def continuous_topk_operator(
     runs; an option ``algo`` does not take raises ``TypeError`` here.
     """
     make_algorithm(algo, q, **opts)
-    n, k, s = q.n, q.k, q.s
 
     def run_group(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values("t")
@@ -62,7 +61,7 @@ def continuous_topk_operator(
                 f"stream {sid}: t must be exactly 0..{len(pdf) - 1} "
                 "(no gap, no repeat, starting at 0)"
             )
-        drv = IncrementalDriver(algo, TopKQuery(n=n, k=k, s=s), **opts)
+        drv = IncrementalDriver(algo, q, **opts)
         out = pd.DataFrame(drv.feed(pdf["score"].to_numpy()))
         out.insert(0, "stream_id", sid)
         return out

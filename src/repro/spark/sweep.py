@@ -29,7 +29,7 @@ from pyspark.sql.types import (
 from repro.core.metrics import METRIC_COLUMNS
 from repro.core.query import TopKQuery
 from repro.streams.datasets import gen_stream
-from repro.streams.runner import run_stream
+from repro.streams.runner import make_algorithm
 
 CELL_FIELDS = ("cell_id", "table", "dataset", "algo", "opts", "axis", "label")
 PARAM_FIELDS = ("length", "seed", "n", "k", "s", "repeats")
@@ -92,11 +92,14 @@ def run_cell(cell: dict) -> dict:
     opts = json.loads(cell["opts"]) if cell["opts"] else {}
     best = None
     for _ in range(max(1, int(cell.get("repeats", 1)))):
-        res = run_stream(cell["algo"], scores, q, **opts)
-        if best is None or res.metrics.wall_time_s < best.metrics.wall_time_s:
-            best = res
+        algo = make_algorithm(cell["algo"], q, **opts)
+        algo.attach(scores)
+        for _ in algo.windows():  # a cell keeps only its metrics
+            pass
+        if best is None or algo.metrics.wall_time_s < best.wall_time_s:
+            best = algo.metrics
     row = {f: cell.get(f, 1) for f in CELL_FIELDS + PARAM_FIELDS}
-    row.update(best.metrics.as_row())
+    row.update(best.as_row())
     return row
 
 

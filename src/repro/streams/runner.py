@@ -1,8 +1,8 @@
 """Sequential driver: run one algorithm over one stream, collect metrics.
 
-The algorithm registry and ``run_stream``, used by the pure-python tests
-and the distributed sweep harness (per table cell). ``run_stream`` and
-the incremental driver the Spark operators use both go through
+The algorithm registry and ``run_stream``, used by the pure-python
+tests and ``benchmarks/``. ``run_stream``, the distributed sweep harness (per table cell)
+and the incremental driver the Spark operators use all go through
 ``StreamTopK.windows``, so correctness checks and benchmark numbers
 exercise exactly the same loop.
 """

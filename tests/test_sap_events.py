@@ -104,7 +104,7 @@ class PerSlideSAP(SAP):
 
     def _expire_range(self, lo, hi):
         front = self.sealed[0]
-        if not front.prepared:
+        if front.rho is None:
             self._ready_front(front)
         if lo <= self._report_min_t < hi:
             self._report = None

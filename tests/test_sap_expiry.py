@@ -14,6 +14,9 @@ from repro.core.candidates import CandidateSet
 from repro.core.query import TopKQuery
 from repro.core.sap import SAP
 from repro.streams.datasets import gen_stream
+from repro.streams.runner import make_algorithm
+
+from .test_metrics import _SAP_VARIANTS
 
 
 class PerObjectSAP(SAP):
@@ -25,7 +28,7 @@ class PerObjectSAP(SAP):
 
     def _expire(self, t: int, score: float) -> None:
         front = self.sealed[0] if self.sealed else None
-        if front is not None and not front.prepared:
+        if front is not None and front.rho is None:
             self._ready_front(front)
         if t == self._report_min_t:
             self._report = None
@@ -145,3 +148,29 @@ def test_batched_expiry_matches_per_object_on_datasets(ds, mode):
     # large slides: many C members and deep-scan horizons per slide
     q = TopKQuery(n=600, k=20, s=60)
     _assert_same(q, gen_stream(ds, 2400, seed=3), mode, True, True)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(expiry_case())
+def test_cand_ts_heap_holds_each_alive_c_member(case):
+    """After every slide, each sealed partition's ``cand_ts`` is a min-heap
+    whose entries still in C are exactly its alive C members, once each:
+    the quiet-expiry horizon reads the front's oldest one off its top."""
+    q, scores = case
+    for algo, opts in _SAP_VARIANTS.values():
+        sap = make_algorithm(algo, q, **opts)
+        sap.attach(scores)
+        for _ in sap.windows():
+            for part in sap.sealed:
+                ts = part.cand_ts
+                assert all(ts[(i - 1) // 2] <= ts[i] for i in range(1, len(ts)))
+                held = [t for t in ts if t in sap.C]
+                members = [
+                    t for _, t in sap.C.iter_desc()
+                    if max(part.start, sap.window_start) <= t < part.end
+                ]
+                assert sorted(held) == sorted(members)
