@@ -9,12 +9,15 @@ and ``gen_stream``:
   Spark operators run.
 
 Each ``test_sap_stream`` case times ``run_stream("sap-enhanced", …)``
-over a few rounds; each ``test_driver_emission`` case times the same
-stream fed to an ``IncrementalDriver`` in 10 chunks, plus framing its
-rows as the Spark operators do (``pd.DataFrame(rows)``). Both check
-every emitted window against the numpy naive re-sort. A case takes a
-few seconds, most of it the naive reference. Run with
-``pytest benchmarks/bench_core.py``.
+over a few rounds; each ``test_sap_closed_loop`` case times perfbench's
+untraced loop on the same stream (``attach``, ``warmup`` and ``topk``,
+then ``slide(j)`` and ``topk()`` per window), which samples no
+``candidate_count()`` and so shows the cost of a slide alone; each
+``test_driver_emission`` case times the stream fed to an
+``IncrementalDriver`` in 10 chunks, plus framing its rows as the Spark
+operators do (``pd.DataFrame(rows)``). All check every emitted window
+against the numpy naive re-sort. A case takes a few seconds, most of it
+the naive reference. Run with ``pytest benchmarks/bench_core.py``.
 """
 import numpy as np
 import pandas as pd
@@ -25,7 +28,7 @@ from repro.core.query import TopKQuery
 from repro.harness.grids import HIGH_SPEED, REGULAR
 from repro.streams.datasets import gen_stream
 from repro.streams.incremental import IncrementalDriver
-from repro.streams.runner import run_stream
+from repro.streams.runner import make_algorithm, run_stream
 
 SHAPES = {
     "regular": ("TIMEU", REGULAR, REGULAR.s_default),
@@ -46,6 +49,26 @@ def test_sap_stream(benchmark, shape):
         warmup_rounds=1,
     )
     np.testing.assert_array_equal(result.results, all_windows_topk(scores, q))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_sap_closed_loop(benchmark, shape):
+    ds, spec, s = SHAPES[shape]
+    q = TopKQuery(n=spec.n_default, k=spec.k_default, s=s)
+    scores = gen_stream(ds, spec.length, seed=spec.seed)
+
+    def closed_loop():
+        algo = make_algorithm("sap-enhanced", q)
+        algo.attach(scores)
+        algo.warmup()
+        out = [algo.topk()]
+        for j in range(1, q.num_windows(len(scores))):
+            algo.slide(j)
+            out.append(algo.topk())
+        return out
+
+    out = benchmark.pedantic(closed_loop, rounds=5, iterations=1, warmup_rounds=1)
+    np.testing.assert_array_equal(out, all_windows_topk(scores, q))
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -29,6 +29,8 @@ interchangeably:
 * ``slide(j)`` — advance to window ``j``, the one after the current
   window (else ``ValueError``, also before ``warmup()``): expire the
   objects ``t ∈ [(j-1)s, js)``, then ingest ``t ∈ [n+(j-1)s, n+js)``.
+  A slide whose new ``window_end`` is at or before ``_quiet_until``
+  skips both and only moves the window.
 * ``topk()`` — the current window's top-k arrival indices, best-first
   under the shared tie-break (score desc, t desc).
 * ``candidate_count()`` — current size of the candidate structures
@@ -41,6 +43,11 @@ hi)``. ``window_start`` and ``window_end`` already describe the new
 window when ``_ingest_range`` runs. SAP works a slide at a time; the
 baselines share ``KSkyband``'s per-object loops and differ only in the
 arrivals they admit.
+
+``_quiet_until`` is 0 here, so every slide calls both hooks. A subclass
+may raise it to the last ``window_end`` up to which a slide has nothing
+to do in either hook; SAP keeps it from its two hooks' own horizons, and
+the baselines never raise it.
 """
 from __future__ import annotations
 
@@ -63,6 +70,8 @@ class StreamTopK(ABC):
         self.scores = np.empty(0, dtype=np.float64)  # grown by extend()
         self.window_start = 0  # first alive t
         self.window_end = 0  # one past last ingested t
+        # slides ending at or before it skip both hooks; see slide()
+        self._quiet_until = 0
 
     def extend(self, chunk: np.ndarray) -> None:
         """Append arrivals, in arrival order, to the stream's scores.
@@ -117,18 +126,25 @@ class StreamTopK(ABC):
         """Advance from window ``j-1`` to window ``j``.
 
         Raises ``ValueError`` unless window ``j-1`` is the current one
-        (``warmup()`` makes window 0 current).
+        (``warmup()`` makes window 0 current). A slide ending at or before
+        ``_quiet_until`` calls neither hook.
         """
         q = self.q
-        if j < 1 or self.window_end != q.n + (j - 1) * q.s:
+        end = self.window_end + q.s
+        if j < 1 or end != q.n + j * q.s:
             raise ValueError(
                 f"slide({j}) does not step to the next window: call warmup(), "
                 "then slide(1), slide(2), …"
             )
-        self._expire_range((j - 1) * q.s, j * q.s)
-        self.window_start = j * q.s
-        self.window_end = q.n + j * q.s
-        self._ingest_range(q.n + (j - 1) * q.s, self.window_end)
+        start = j * q.s
+        if end <= self._quiet_until:
+            self.window_start = start
+            self.window_end = end
+            return
+        self._expire_range(start - q.s, start)
+        self.window_start = start
+        self.window_end = end
+        self._ingest_range(end - q.s, end)
 
     # -- hooks -----------------------------------------------------------
     @abstractmethod

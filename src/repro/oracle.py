@@ -17,7 +17,6 @@ NaN: DuckDB 1.0 reads a ``pd.NA`` set into such a column as the value it
 replaced, so the oracle would answer over a score the frame does not
 hold.
 """
-import duckdb
 import pandas as pd
 from pyspark.sql import DataFrame
 
@@ -42,6 +41,10 @@ def _numpy_columns(pdf: pd.DataFrame) -> pd.DataFrame:
 
 
 def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+    # imported on use: perfbench imports this module in every timed set-up,
+    # which should not pay DuckDB's 20-30 ms import
+    import duckdb
+
     con = duckdb.connect()
     try:
         for name, t in tables.items():
